@@ -1,0 +1,100 @@
+"""Golden CLI outputs: every report the CLI prints must stay byte-identical.
+
+The expected outputs live in ``tests/data/golden/<corpus>/``.  To record
+them again after an intended output change, run::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, os.path.dirname(__file__))
+from conftest import DATA  # noqa: E402
+from mdpattern.cli import main  # noqa: E402
+
+GOLDEN = DATA / "golden"
+CORPORA = {"synth": ("alpha", "beta"), "fig2": ("mips", "arm")}
+
+
+def _report_cases(corpus):
+    """(golden file name, argv) for every report that goes to stdout."""
+    a, b = CORPORA[corpus]
+    manifest = ["--manifest", str(DATA / corpus / "manifest.txt")]
+    cases = []
+    for fmt in ("text", "json"):
+        for flag in ("", "--count-subpatterns", "--no-bin-arith"):
+            name = "stats%s.%s" % (flag, fmt)
+            cases.append((name, ["stats", "--format", fmt] + manifest + [flag]))
+        for expand in ("", "--expand-iterators"):
+            for metric in ("pattern", "expr", "coverage"):
+                name = "matrix-%s%s.%s" % (metric, expand, fmt)
+                cases.append((name, ["matrix", "--metric", metric, "--format", fmt]
+                              + manifest + [expand]))
+            name = "compare%s.%s" % (expand, fmt)
+            cases.append((name, ["compare", a, b, "--format", fmt] + manifest + [expand]))
+    cases.append(("verify.txt", ["verify"] + manifest))
+    return [(name, [arg for arg in argv if arg]) for name, argv in cases]
+
+
+def _archive_outputs(corpus, work):
+    """Golden file name -> bytes written by extract, recombine and merge."""
+    manifest = ["--manifest", str(DATA / corpus / "manifest.txt")]
+    outputs = {}
+    for arch in CORPORA[corpus]:
+        assert main(["extract", arch, "--out-dir", str(work)] + manifest) == 0
+        for ext in ("patterns", "params"):
+            path = work / ("%s.%s" % (arch, ext))
+            outputs[path.name] = path.read_bytes()
+        out = work / ("%s.recombined" % arch)
+        assert main(["recombine", "--patterns", str(work / ("%s.patterns" % arch)),
+                     "--params", str(work / ("%s.params" % arch)),
+                     "--out", str(out)]) == 0
+        outputs[out.name] = out.read_bytes()
+    out = work / "merge-min1.patterns"
+    assert main(["merge", "--min-count", "1", "--out", str(out)]
+                + [str(work / ("%s.patterns" % arch)) for arch in CORPORA[corpus]]) == 0
+    outputs[out.name] = out.read_bytes()
+    return outputs
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_cli_outputs_match_golden(corpus, capsys, tmp_path):
+    for name, argv in _report_cases(corpus):
+        code, out = _run(capsys, argv)
+        assert code == 0, argv
+        assert out.encode() == (GOLDEN / corpus / name).read_bytes(), name
+    for name, data in _archive_outputs(corpus, tmp_path).items():
+        assert data == (GOLDEN / corpus / name).read_bytes(), name
+
+
+def _record():
+    import contextlib
+    import io
+    import tempfile
+
+    for corpus in sorted(CORPORA):
+        target = GOLDEN / corpus
+        target.mkdir(parents=True, exist_ok=True)
+        for name, argv in _report_cases(corpus):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0, argv
+            (target / name).write_bytes(buf.getvalue().encode())
+        with tempfile.TemporaryDirectory() as work, \
+                contextlib.redirect_stdout(io.StringIO()):
+            outputs = _archive_outputs(corpus, Path(work))
+        for name, data in outputs.items():
+            (target / name).write_bytes(data)
+
+
+if __name__ == "__main__":
+    _record()
