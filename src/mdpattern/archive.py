@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from urllib.parse import unquote
 
 from . import rtl, sexpr
-from .pattern import (ArityMismatch, MdAnalysis, ParamBinding, PatternStore,
-                      RtlPattern, canonicalize, substitute)
+from .pattern import MdAnalysis, ParamBinding, PatternStore, RtlPattern, substitute
 from .sexpr import SExprError, Symbol
 
 
@@ -70,7 +69,6 @@ def pattern_file_of(analysis: MdAnalysis) -> PatternFile:
         (e.pattern_id, e.pattern.height, e.count, e.pattern.canonical_text)
         for e in analysis.store.entries()
     ]
-    entries.sort(key=lambda t: (t[1], t[0]))
     return PatternFile(analysis.arch_name, analysis.store.total_templates,
                        list(analysis.iterators), entries)
 
@@ -107,6 +105,7 @@ def read_pattern_file(text: str) -> PatternFile:
     total = None
     iterators = []
     entries = []
+    seen = set()  # ids (int) and texts (str) so far: each must be unique
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip("\r")
         if not line.strip():
@@ -126,9 +125,11 @@ def read_pattern_file(text: str) -> PatternFile:
                 raise BadHeader("line %d: unknown header line %r" % (lineno, line))
             continue
         m = _ENTRY_RE.fullmatch(line)
-        if not m:
+        if not m or int(m.group(1)) in seen or m.group(4) in seen:
             raise MalformedEntry(lineno, line)
-        entries.append((int(m.group(1)), int(m.group(2)), int(m.group(3)), m.group(4)))
+        pid, text = int(m.group(1)), m.group(4)
+        seen.update((pid, text))
+        entries.append((pid, int(m.group(2)), int(m.group(3)), text))
     if arch is None or total is None:
         raise BadHeader("missing arch/total_templates header")
     return PatternFile(arch, total, iterators, entries)

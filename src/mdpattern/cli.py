@@ -12,10 +12,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import archive, md_reader, pattern, rtl, similarity
 from .manifest import ManifestEntry, ManifestError, load_manifest
+from .sexpr import SExprError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,14 +54,8 @@ def _analyze_entry(entry: ManifestEntry, table, args):
     try:
         forms = md_reader.load_md_file(entry.path, entry.resolve_includes,
                                        entry.considered_heads)
-    except (OSError, md_reader.MdReaderError) as exc:
+    except (OSError, md_reader.MdReaderError, SExprError) as exc:
         raise CliError("%s: %s" % (entry.name, exc), EXIT_PARSE)
-    except Exception as exc:
-        from .sexpr import SExprError
-
-        if isinstance(exc, SExprError):
-            raise CliError("%s: %s" % (entry.name, exc), EXIT_PARSE)
-        raise
     return pattern.analyze(
         forms, table, entry.name,
         include_bin_arith=not getattr(args, "no_bin_arith", False),
@@ -70,8 +64,7 @@ def _analyze_entry(entry: ManifestEntry, table, args):
 
 
 def _analyze_manifest(entries, table, args):
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(entries)))) as pool:
-        return list(pool.map(lambda e: _analyze_entry(e, table, args), entries))
+    return [_analyze_entry(e, table, args) for e in entries]
 
 
 def _load_entries(args, names=None):

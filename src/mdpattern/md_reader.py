@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import sexpr
-from .sexpr import Loc, SExpr, SList, StringLit, SVector, Symbol
+from .sexpr import Loc, SList, StringLit, SVector, Symbol
 
 #: define_* heads whose first bracket vector is an RTL template.
 DEFAULT_CONSIDERED_HEADS = frozenset(
@@ -78,7 +78,7 @@ def parse_md(source: str, origin: str | None = None,
     forms = []
     for expr in sexpr.parse_text(source, origin):
         if not isinstance(expr, SList):
-            loc = expr.loc or Loc(origin, 0, 0)
+            loc = expr.loc
             raise sexpr.UnexpectedToken(
                 "top-level form is not a list", loc.filename, loc.line, loc.col
             )

@@ -11,10 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import md_reader, rtl
-from .md_reader import FormKind, MissingTemplateVector, TopLevelForm
+from . import md_reader, rtl, sexpr
+from .md_reader import FormKind, MissingTemplateVector
 from .rtl import RtlExpr, RtxCodeTable, rtl_text
-from .sexpr import SList, SVector, Symbol
 
 
 class PatternError(Exception):
@@ -148,12 +147,6 @@ def extract_pattern(tree: RtlExpr, table: RtxCodeTable, iterators=frozenset(),
     return canon, assignments
 
 
-def pattern_equal(a: RtlPattern, b: RtlPattern) -> bool:
-    if a.height != b.height:
-        return False
-    return a.canonical_text == b.canonical_text
-
-
 def substitute(tree: RtlExpr, mapping: dict) -> str:
     """Fill a pattern's holes from a binding and render the result."""
     used = set()
@@ -198,62 +191,45 @@ class StoreEntry:
 
 
 class PatternStore:
-    """Unique patterns bucketed by height, with occurrence counts."""
+    """Unique patterns with occurrence counts, indexed by id and by text."""
 
     def __init__(self):
-        self.buckets: dict[int, list[StoreEntry]] = {}
+        self._by_id: dict[int, StoreEntry] = {}
         self._by_text: dict[str, StoreEntry] = {}
-        self.next_id = 0
-        self.total_templates = 0
 
     def insert(self, p: RtlPattern) -> tuple[int, bool]:
         """Add one occurrence; returns (pattern id, is_new)."""
-        self.total_templates += 1
         entry = self._by_text.get(p.canonical_text)
         if entry is not None:
             entry.count += 1
             return entry.pattern_id, False
-        entry = StoreEntry(self.next_id, p, 1)
-        self.next_id += 1
-        self.buckets.setdefault(p.height, []).append(entry)
-        self._by_text[p.canonical_text] = entry
+        entry = self.insert_entry(len(self._by_id), p, 1)
         return entry.pattern_id, True
 
-    def insert_entry(self, pattern_id, p: RtlPattern, count):
-        """Rebuild an entry verbatim (archive reads)."""
+    def insert_entry(self, pattern_id, p: RtlPattern, count) -> StoreEntry:
+        """Add an entry verbatim (archive reads); ids and texts are unique."""
         entry = StoreEntry(pattern_id, p, count)
-        self.buckets.setdefault(p.height, []).append(entry)
-        self._by_text[p.canonical_text] = entry
-        self.next_id = max(self.next_id, pattern_id + 1)
-        self.total_templates += count
+        self._by_id[pattern_id] = self._by_text[p.canonical_text] = entry
+        return entry
 
     def get(self, pattern_id) -> StoreEntry:
-        for entries in self.buckets.values():
-            for e in entries:
-                if e.pattern_id == pattern_id:
-                    return e
-        raise KeyError(pattern_id)
-
-    def lookup_text(self, canonical_text):
-        return self._by_text.get(canonical_text)
+        return self._by_id[pattern_id]
 
     def entries(self):
-        for h in sorted(self.buckets):
-            yield from sorted(self.buckets[h], key=lambda e: e.pattern_id)
+        """Entries in (height, id) order, the order of archives and matching."""
+        yield from sorted(self._by_id.values(),
+                          key=lambda e: (e.pattern.height, e.pattern_id))
 
     @property
     def pattern_count(self) -> int:
         return len(self._by_text)
 
+    @property
+    def total_templates(self) -> int:
+        return sum(e.count for e in self._by_id.values())
+
     def canonical_texts(self):
         return set(self._by_text)
-
-
-def store_insert(store: PatternStore, p: RtlPattern, b: ParamBinding | None = None):
-    pid, is_new = store.insert(p)
-    if b is not None:
-        b.pattern_id = pid
-    return pid, is_new
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +239,16 @@ def store_insert(store: PatternStore, p: RtlPattern, b: ParamBinding | None = No
 @dataclass
 class MdAnalysis:
     arch_name: str
-    expr_count: int
     store: PatternStore
     bindings: list[ParamBinding]
     iterators: list[str]  # verbatim iterator definition forms
     code_iterator_names: frozenset
     source_texts: list[str] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def expr_count(self) -> int:
+        return len(self.bindings)
 
 
 def register_iterators(forms):
@@ -279,18 +258,12 @@ def register_iterators(forms):
     for form in forms:
         if form.kind is not FormKind.ITERATOR:
             continue
-        verbatim.append(rtl_text_of_form(form))
+        verbatim.append(sexpr.serialize(form.body))
         if form.head == "define_code_iterator" and form.name:
             names.add(form.name)
         elif form.head == "define_code_attr" and form.name:
             names.add("<%s>" % form.name)
     return frozenset(names), verbatim
-
-
-def rtl_text_of_form(form: TopLevelForm) -> str:
-    from . import sexpr
-
-    return sexpr.serialize(form.body)
 
 
 def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True,
@@ -315,10 +288,9 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True,
         pattern, assignments = extract_pattern(
             tree, table, iterators, include_bin_arith, unknown
         )
-        binding = ParamBinding(-1, assignments, form.head, form.name,
-                               _origin_text(form))
-        store_insert(store, pattern, binding)
-        bindings.append(binding)
+        pid, _ = store.insert(pattern)
+        bindings.append(ParamBinding(pid, assignments, form.head, form.name,
+                                     _origin_text(form)))
         source_texts.append(rtl_text(tree))
         if count_subpatterns:
             _count_subpatterns(pattern.tree, subpatterns)
@@ -327,7 +299,6 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True,
         diagnostics["subpatterns"] = dict(subpatterns)
     return MdAnalysis(
         arch_name=arch_name,
-        expr_count=len(bindings),
         store=store,
         bindings=bindings,
         iterators=verbatim,

@@ -157,13 +157,6 @@ class RtxCodeTable:
         return iter(self._entries)
 
 
-def rtx_class(code, table, iterators=frozenset()):
-    """Lookup with per-file code-iterator aliases resolving to EXTRA."""
-    if code in iterators:
-        return RtxClass.EXTRA
-    return table.rtx_class(code)
-
-
 #: Classes whose operators stay in patterns (machine-independent meaning).
 PATTERN_CLASSES = frozenset(
     {

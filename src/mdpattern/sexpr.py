@@ -8,7 +8,7 @@ comments and ``/* ... */`` block comments.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class SExprError(Exception):
@@ -160,45 +160,42 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
 
 
 class SExpr:
-    """Base class; concrete variants below."""
+    """Base class; concrete variants below.
 
-    loc: Loc | None
+    Only top-level expressions from `parse_text` carry a source location.
+    """
+
+    loc: Loc | None = None
 
 
 @dataclass(eq=True)
 class Symbol(SExpr):
     text: str
-    loc: Loc | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=True)
 class Integer(SExpr):
     value: int
-    loc: Loc | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=True)
 class StringLit(SExpr):
     text: str
-    loc: Loc | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=True)
 class BraceBlock(SExpr):
     text: str  # verbatim, braces balanced inside
-    loc: Loc | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=True)
 class SList(SExpr):
     items: list
-    loc: Loc | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=True)
 class SVector(SExpr):
     items: list
-    loc: Loc | None = field(default=None, compare=False, repr=False)
 
 
 _CLOSER = {"(": ")", "[": "]"}
@@ -206,15 +203,14 @@ _CLOSER = {"(": ")", "[": "]"}
 
 def _parse_expr(toks, i, filename):
     tok = toks[i]
-    loc = Loc(filename, tok.line, tok.col)
     if tok.kind == "symbol":
-        return Symbol(tok.value, loc), i + 1
+        return Symbol(tok.value), i + 1
     if tok.kind == "int":
-        return Integer(int(tok.value), loc), i + 1
+        return Integer(int(tok.value)), i + 1
     if tok.kind == "string":
-        return StringLit(tok.value, loc), i + 1
+        return StringLit(tok.value), i + 1
     if tok.kind == "brace":
-        return BraceBlock(tok.value, loc), i + 1
+        return BraceBlock(tok.value), i + 1
     if tok.kind in "([":
         closer = _CLOSER[tok.kind]
         items = []
@@ -228,7 +224,7 @@ def _parse_expr(toks, i, filename):
                         "mismatched '%s'" % toks[i].kind, filename, toks[i].line, toks[i].col
                     )
                 cls = SList if closer == ")" else SVector
-                return cls(items, loc), i + 1
+                return cls(items), i + 1
             item, i = _parse_expr(toks, i, filename)
             items.append(item)
     raise UnexpectedToken("unexpected '%s'" % tok.value, filename, tok.line, tok.col)
@@ -244,7 +240,9 @@ def parse_text(source: str, filename: str | None = None) -> list[SExpr]:
             raise UnbalancedParen(
                 "unmatched '%s'" % toks[i].kind, filename, toks[i].line, toks[i].col
             )
+        loc = Loc(filename, toks[i].line, toks[i].col)
         expr, i = _parse_expr(toks, i, filename)
+        expr.loc = loc
         out.append(expr)
     return out
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .pattern import MdAnalysis
 from .sexpr import SList, SVector, Symbol, parse_one
-from .rtl import rtl_text
 
 
 class SimilarityError(Exception):

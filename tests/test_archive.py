@@ -130,6 +130,17 @@ def test_read_malformed_entry_reports_line():
     assert ei.value.lineno == 3
 
 
+@pytest.mark.parametrize("second", [
+    "0 2 1 (set $arg0 (plus:$mode0 $arg1 $arg2))",  # duplicate id
+    "1 2 1 (set $arg0 $arg1)",  # duplicate text
+])
+def test_read_duplicate_entry_reports_line(second):
+    ptext = "# arch: x\n# total_templates: 2\n0 2 1 (set $arg0 $arg1)\n%s\n" % second
+    with pytest.raises(MalformedEntry) as ei:
+        read_archives(ptext, "0 define_insn a $arg0=x $arg1=y\n")
+    assert ei.value.lineno == 4
+
+
 def test_read_dangling_pattern_id(alpha):
     ptext = write_pattern_file(alpha)
     with pytest.raises(DanglingPatternId):

@@ -152,6 +152,19 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert sum(1 for o, g in zip(orig, got) if o != g) == 1
 
 
+def test_recombine_rejects_duplicate_pattern_id(tmp_path, capsys):
+    patterns = tmp_path / "x.patterns"
+    patterns.write_text("# arch: x\n# total_templates: 2\n"
+                        "0 1 1 (set $arg0 $arg1)\n"
+                        "0 2 1 (set $arg0 (plus:$mode0 $arg1 $arg2))\n")
+    params = tmp_path / "x.params"
+    params.write_text("0 define_insn a $arg0=(reg:SI 0) $arg1=(reg:SI 1)\n")
+    code, out, err = run(capsys, "recombine", "--patterns", str(patterns),
+                         "--params", str(params))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "line 4: malformed entry" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "stats")[0] == EXIT_USAGE  # missing --manifest
     assert run(capsys, "nonsense")[0] == EXIT_USAGE

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from conftest import analyze_file
 from mdpattern import md_reader, sexpr
 from mdpattern.md_reader import (DEFAULT_CONSIDERED_HEADS, FormKind,
                                  IncludeCycle, MissingInclude,
@@ -46,6 +47,27 @@ def test_classification_totality(src, kind, head):
     assert len(forms) == 1
     assert forms[0].kind is kind
     assert forms[0].head == head
+
+
+def test_form_origin_is_line_and_column_of_each_top_level_form():
+    src = ('; header\n(define_insn "a"\n  [(set (reg 0)\n        (reg 1))]\n  "" "")\n'
+           '   (define_expand "b"\n  [(use (reg 2))] "" "")\n'
+           '(define_attr "x" ""\n  (const_int 4)) (define_insn "c" [(clobber (reg 3))] "" "")\n')
+    forms = parse_md(src, "f.md")
+    assert [(f.name, f.origin.filename, f.origin.line, f.origin.col) for f in forms] == [
+        ("a", "f.md", 2, 1), ("b", "f.md", 6, 4), ("x", "f.md", 8, 1), ("c", "f.md", 9, 18)]
+
+
+def test_binding_origin_is_file_and_line(tmp_path, table):
+    path = tmp_path / "f.md"
+    path.write_text(";; one\n\n" + ADD_EXPAND)
+    a = analyze_file(path, "f", table)
+    assert [b.origin for b in a.bindings] == ["%s:4" % path]
+
+
+def test_bare_top_level_symbol_reports_its_position():
+    with pytest.raises(sexpr.UnexpectedToken, match="f.md:2:3"):
+        parse_md('(define_insn "a" [] "" "")\n  stray\n', "f.md")
 
 
 def test_empty_input_gives_no_forms():

@@ -7,8 +7,7 @@ from conftest import analyze_file, random_corpus, DATA
 from mdpattern import md_reader, pattern, rtl, sexpr
 from mdpattern.pattern import (ArityMismatch, ParamName, PatternStore,
                                RtlPattern, analyze, canonicalize,
-                               extract_pattern, pattern_equal, store_insert,
-                               substitute)
+                               extract_pattern, substitute)
 from mdpattern.rtl import RtxCodeTable, build_rtl_tree, build_template_tree, rtl_text
 
 MIPS_ADD = (
@@ -169,29 +168,17 @@ def test_alpha_invariance_under_renaming(rng):
     shuffled.canonical_text = rtl_text(shuffled.tree)
     canon, _ = canonicalize(shuffled)
     base, _ = canonicalize(p)
-    assert pattern_equal(canon, base)
+    assert canon.canonical_text == base.canonical_text
 
 
 # ---------------------------------------------------------------------------
-# Equality and the store
+# Height and the store
 
 
-def test_pattern_equal_reflexive(table):
-    p, _ = _extract(ARM_ADD, table)
-    assert pattern_equal(p, p)
-
-
-def test_pattern_equal_height_gate():
+def test_pattern_height():
     a = _pattern_from_text("(set $arg0 $arg1)")
     b = _pattern_from_text("(set $arg0 (plus:$mode0 $arg1 $arg2))")
     assert a.height == 2 and b.height == 3
-    assert not pattern_equal(a, b)
-
-
-def test_pattern_equal_code_mismatch():
-    a = _pattern_from_text("(plus:$mode0 $arg0 $arg1)")
-    b = _pattern_from_text("(minus:$mode0 $arg0 $arg1)")
-    assert not pattern_equal(a, b)
 
 
 def test_store_dedup(table):
@@ -218,14 +205,6 @@ def test_store_three_variants_one_pattern(table):
         store.insert(p)
     assert store.pattern_count == 1
     assert next(store.entries()).count == 3
-
-
-def test_store_insert_sets_binding_id(table):
-    store = PatternStore()
-    p, assigns = _extract(ARM_ADD, table)
-    b = pattern.ParamBinding(-1, assigns, "define_insn", "addsi3")
-    pid, _ = store_insert(store, p, b)
-    assert b.pattern_id == pid
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from mdpattern import md_reader, rtl, sexpr
 from mdpattern.rtl import (PATTERN_CLASSES, SIDE_EFFECT_CODES, RtxClass,
                            RtxCodeTable, build_rtl_tree, build_template_tree,
-                           height, is_pattern_operator, rtl_text, rtx_class)
+                           height, is_pattern_operator, rtl_text)
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +49,6 @@ def test_class_lookup(table, code, cls):
 
 def test_unknown_code(table):
     assert table.rtx_class("frobnicate") is None
-
-
-def test_iterator_alias_resolves_extra(table):
-    assert rtx_class("any_logic", table, iterators=frozenset({"any_logic"})) is RtxClass.EXTRA
-    assert rtx_class("any_logic", table) is None
 
 
 def test_side_effect_set_exact(table):
