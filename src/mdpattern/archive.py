@@ -2,7 +2,9 @@
 
 Pattern file: ``#``-prefixed header lines (arch, total_templates, one line
 per iterator definition) then one ``<id> <height> <count> <pattern>`` line
-per unique pattern, sorted by (height, id).
+per unique pattern, sorted by (height, id).  A pattern text is read back
+only if it is one s-expression in which every list starts with a symbol,
+and is kept in its single-space rendering.
 
 Parameter file: one record per analyzed expression,
 ``<pattern-id> <form-kind> <form-name> $p=<value> ...`` with values
@@ -15,9 +17,9 @@ import re
 from dataclasses import dataclass, field
 from urllib.parse import unquote
 
-from . import rtl, sexpr
+from . import sexpr
 from .pattern import MdAnalysis, ParamBinding, PatternStore, RtlPattern, substitute
-from .sexpr import SExprError, Symbol
+from .sexpr import SExprError, SList, SVector, Symbol
 
 
 class ArchiveError(Exception):
@@ -100,6 +102,23 @@ def write_param_file(analysis: MdAnalysis) -> str:
 _ENTRY_RE = re.compile(r"(\d+) (\d+) (\d+) (.+)")
 
 
+def _pattern_text(text):
+    """Single-space rendering of a pattern text, or None unless it is one
+    s-expression in which every list starts with a symbol."""
+    try:
+        expr = sexpr.parse_one(text)
+        todo = [expr]
+        while todo:
+            e = todo.pop()
+            if isinstance(e, SList) and not (e.items and isinstance(e.items[0], Symbol)):
+                return None
+            if isinstance(e, (SList, SVector)):
+                todo.extend(e.items)
+        return sexpr.serialize(expr)
+    except (SExprError, RecursionError):  # the parser and printer recurse per level
+        return None
+
+
 def read_pattern_file(text: str) -> PatternFile:
     arch = None
     total = None
@@ -125,9 +144,10 @@ def read_pattern_file(text: str) -> PatternFile:
                 raise BadHeader("line %d: unknown header line %r" % (lineno, line))
             continue
         m = _ENTRY_RE.fullmatch(line)
-        if not m or int(m.group(1)) in seen or m.group(4) in seen:
+        text = m and _pattern_text(m.group(4))
+        if not text or int(m.group(1)) in seen or text in seen:
             raise MalformedEntry(lineno, line)
-        pid, text = int(m.group(1)), m.group(4)
+        pid = int(m.group(1))
         seen.update((pid, text))
         entries.append((pid, int(m.group(2)), int(m.group(3)), text))
     if arch is None or total is None:
@@ -135,31 +155,12 @@ def read_pattern_file(text: str) -> PatternFile:
     return PatternFile(arch, total, iterators, entries)
 
 
-def _tree_from_canonical(text: str) -> rtl.RtlExpr:
-    """Rebuild a pattern tree, turning $argN symbols back into holes."""
-    expr = sexpr.parse_one(text)
-    node = rtl._build_arg(expr)
-
-    def fix(n):
-        if n.payload is not None and isinstance(n.payload, Symbol) \
-                and n.payload.text.startswith("$arg"):
-            return rtl.RtlExpr(param=n.payload.text)
-        n.children = [fix(c) for c in n.children]
-        return n
-
-    return fix(node)
-
-
 def read_archives(pattern_text: str, param_text: str):
     """Inverse of the write pair: rebuild the store and bindings."""
     pf = read_pattern_file(pattern_text)
     store = PatternStore()
     for pid, height, count, text in pf.entries:
-        try:
-            tree = _tree_from_canonical(text)
-        except SExprError as exc:
-            raise MalformedEntry(0, "pattern %d: %s" % (pid, exc))
-        store.insert_entry(pid, RtlPattern(tree, height, text), count)
+        store.insert_entry(pid, RtlPattern(text, height), count)
     known = {pid for pid, _, _, _ in pf.entries}
     bindings = []
     for lineno, raw in enumerate(param_text.splitlines(), 1):
@@ -209,7 +210,7 @@ def recombine(store: PatternStore, bindings) -> list[RegeneratedForm]:
             entry = store.get(b.pattern_id)
         except KeyError:
             raise DanglingPatternId(b.pattern_id)
-        template = substitute(entry.pattern.tree, dict(b.assignments))
+        template = substitute(entry.pattern.canonical_text, dict(b.assignments))
         name = '"%s"' % b.form_name if b.form_name else '""'
         form = "(%s %s\n  %s\n  \"\"\n  \"\")" % (b.form_kind, name, template)
         out.append(RegeneratedForm(b.form_kind, b.form_name, template, form))

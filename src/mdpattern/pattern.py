@@ -4,10 +4,12 @@ A pattern keeps the operators that mean the same thing on every machine
 and replaces everything machine-chosen (operands, constants, modes,
 predicates) by ``$argN`` / ``$modeN`` holes.  Identical replaced text
 within one expression reuses the same hole, so a binding stays small.
+A pattern is its canonical text; no pattern tree outlives extraction.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -24,20 +26,10 @@ class ArityMismatch(PatternError):
     """Binding parameters do not line up with the pattern's holes."""
 
 
-@dataclass(frozen=True)
-class ParamName:
-    kind: str  # 'mode' or 'arg'
-    index: int
-
-    def render(self) -> str:
-        return "$%s%d" % (self.kind, self.index)
-
-
 @dataclass
 class RtlPattern:
-    tree: RtlExpr
-    height: int
     canonical_text: str
+    height: int
 
 
 @dataclass
@@ -49,134 +41,90 @@ class ParamBinding:
     origin: str = ""
 
 
-def _walk_params(node, visit):
-    # pre-order over holes: a node's own mode hole before its children
-    if node.param is not None:
-        visit(node.param)
-        return
-    if node.mode is not None and node.mode.startswith("$"):
-        visit(node.mode)
-    for c in node.children:
-        _walk_params(c, visit)
-
-
-def _rename_tree(node, renames):
-    if node.param is not None:
-        return RtlExpr(param=renames.get(node.param, node.param))
-    mode = node.mode
-    if mode is not None and mode.startswith("$"):
-        mode = renames.get(mode, mode)
-    return RtlExpr(
-        code=node.code,
-        mode=mode,
-        children=[_rename_tree(c, renames) for c in node.children],
-        payload=node.payload,
-        is_vector=node.is_vector,
-    )
-
-
-def canonicalize(p: RtlPattern) -> tuple[RtlPattern, dict]:
-    """Renumber holes by first pre-order occurrence, per kind.
-
-    Returns the canonical pattern and the old-name -> new-name mapping;
-    idempotent on already-canonical patterns.
-    """
-    renames = {}
-    counters = {"mode": 0, "arg": 0}
-
-    def visit(name):
-        if name in renames:
-            return
-        kind = "mode" if name.startswith("$mode") else "arg"
-        renames[name] = ParamName(kind, counters[kind]).render()
-        counters[kind] += 1
-
-    _walk_params(p.tree, visit)
-    tree = _rename_tree(p.tree, renames)
-    return RtlPattern(tree, p.height, rtl_text(tree)), renames
-
-
 def extract_pattern(tree: RtlExpr, table: RtxCodeTable, iterators=frozenset(),
                     include_bin_arith=True, unknown_codes: Counter | None = None):
     """Bottom-up abstraction of one expression tree.
 
-    Returns (canonical RtlPattern, assignments) where assignments list the
-    hole values in mode-then-arg order; substituting them back reproduces
-    the expression text.
+    Returns (RtlPattern, assignments).  Holes are numbered per kind by first
+    pre-order (= textual) occurrence, so the text is canonical; assignments
+    list the hole values in mode-then-arg order, and substituting them back
+    reproduces the expression text.
     """
     arg_map: dict[str, str] = {}
     mode_map: dict[str, str] = {}
 
-    def arg_hole(text):
-        name = arg_map.get(text)
-        if name is None:
-            name = ParamName("arg", len(arg_map)).render()
-            arg_map[text] = name
-        return RtlExpr(param=name)
+    def hole(names, kind, text):
+        return names.setdefault(text, "$%s%d" % (kind, len(names)))
 
-    def mode_hole(text):
-        name = mode_map.get(text)
-        if name is None:
-            name = ParamName("mode", len(mode_map)).render()
-            mode_map[text] = name
-        return name
+    def walk_all(nodes):
+        parts = [walk(c) for c in nodes]
+        return [t for t, _ in parts], max((h for _, h in parts), default=0)
 
     def walk(node):
+        # (pattern text, height) of one node; a hole has height 1
         if node.is_vector:
-            return RtlExpr(is_vector=True, children=[walk(c) for c in node.children])
-        if node.payload is not None:
-            return arg_hole(rtl_text(node))
-        if node.code not in iterators and table.rtx_class(node.code) is None:
-            if unknown_codes is not None:
-                unknown_codes[node.code] += 1
-        if rtl.is_pattern_operator(node.code, table, iterators, include_bin_arith):
-            mode = mode_hole(node.mode) if node.mode is not None else None
-            return RtlExpr(code=node.code, mode=mode,
-                           children=[walk(c) for c in node.children])
-        return arg_hole(rtl_text(node))
+            texts, h = walk_all(node.children)
+            return "[%s]" % " ".join(texts), h
+        if node.payload is None:
+            if node.code not in iterators and table.rtx_class(node.code) is None:
+                if unknown_codes is not None:
+                    unknown_codes[node.code] += 1
+            if rtl.is_pattern_operator(node.code, table, iterators, include_bin_arith):
+                head = node.code
+                if node.mode is not None:
+                    head += ":" + hole(mode_map, "mode", node.mode)
+                texts, h = walk_all(node.children)
+                return "(%s)" % " ".join([head, *texts]), 1 + h
+        return hole(arg_map, "arg", rtl_text(node)), 1
 
-    ptree = walk(tree)
-    raw = RtlPattern(ptree, max(1, rtl.height(ptree)), rtl_text(ptree))
-    canon, renames = canonicalize(raw)
-    assignments = []
-    for text, old in mode_map.items():
-        assignments.append((renames.get(old, old), text))
-    for text, old in arg_map.items():
-        assignments.append((renames.get(old, old), text))
-    assignments.sort(key=lambda kv: (kv[0].startswith("$arg"), int(kv[0].lstrip("$modearg") or 0)))
-    return canon, assignments
+    text, h = walk(tree)
+    assignments = [(name, value) for holes in (mode_map, arg_map)
+                   for value, name in holes.items()]
+    return RtlPattern(text, max(1, h)), assignments
 
 
-def substitute(tree: RtlExpr, mapping: dict) -> str:
-    """Fill a pattern's holes from a binding and render the result."""
+# One pass over a pattern text: string literals and (unnested) brace blocks
+# are copied verbatim; the holes are whole $arg atoms and the $mode suffix
+# after the first ':' of a list head.
+_HOLE_RE = re.compile(r'''
+    "(?:[^"\\]|\\.)*" | \{[^{}]*\}
+  | (?<=\() ([^\s:()\[\]{}";]*:) (\$mode[^\s()\[\]{}";]*)
+  | (?<![^\s\[]) (\$arg[^\s()\[\]{}";]*)
+''', re.VERBOSE)
+
+
+def substitute(text: str, mapping: dict) -> str:
+    """Fill a pattern text's holes from a binding."""
     used = set()
 
-    def walk(node):
-        if node.param is not None:
-            if node.param not in mapping:
-                raise ArityMismatch("no value for %s" % node.param)
-            used.add(node.param)
-            return mapping[node.param]
-        if node.payload is not None:
-            return rtl_text(node)
-        if node.is_vector:
-            return "[%s]" % " ".join(walk(c) for c in node.children)
-        mode = node.mode
-        if mode is not None and mode.startswith("$mode"):
-            if mode not in mapping:
-                raise ArityMismatch("no value for %s" % mode)
-            used.add(mode)
-            mode = mapping[mode]
-        head = node.code if mode is None else "%s:%s" % (node.code, mode)
-        if node.children:
-            return "(%s %s)" % (head, " ".join(walk(c) for c in node.children))
-        return "(%s)" % head
+    def fill(m):
+        name = m.group(2) or m.group(3)
+        if name is None:
+            return m.group(0)
+        if name not in mapping:
+            raise ArityMismatch("no value for %s" % name)
+        used.add(name)
+        return (m.group(1) or "") + mapping[name]
 
-    text = walk(tree)
+    out = _HOLE_RE.sub(fill, text)
     unused = set(mapping) - used
     if unused:
         raise ArityMismatch("unused parameters: %s" % ", ".join(sorted(unused)))
-    return text
+    return out
+
+
+_HOLE_NAME_RE = re.compile(r"\$(mode|arg)\d+")
+
+
+def renumber_holes(text: str) -> str:
+    """Renumber an extracted text's holes by first occurrence, per kind."""
+    seen = {"mode": {}, "arg": {}}
+
+    def rename(m):
+        names = seen[m.group(1)]
+        return names.setdefault(m.group(0), "$%s%d" % (m.group(1), len(names)))
+
+    return _HOLE_NAME_RE.sub(rename, text)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +190,6 @@ class MdAnalysis:
     store: PatternStore
     bindings: list[ParamBinding]
     iterators: list[str]  # verbatim iterator definition forms
-    code_iterator_names: frozenset
     source_texts: list[str] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
@@ -293,7 +240,7 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True,
                                      _origin_text(form)))
         source_texts.append(rtl_text(tree))
         if count_subpatterns:
-            _count_subpatterns(pattern.tree, subpatterns)
+            _count_subpatterns(pattern.canonical_text, subpatterns)
     diagnostics = {"unknown_codes": dict(unknown), "skipped": skipped}
     if count_subpatterns:
         diagnostics["subpatterns"] = dict(subpatterns)
@@ -302,7 +249,6 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True,
         store=store,
         bindings=bindings,
         iterators=verbatim,
-        code_iterator_names=iterators,
         source_texts=source_texts,
         diagnostics=diagnostics,
     )
@@ -315,13 +261,12 @@ def _origin_text(form):
     return "%s:%s" % (loc.filename, loc.line)
 
 
-def _count_subpatterns(node, counter):
-    # diagnostic only: every retained-operator subtree, canonicalized
-    if node.param is not None or node.payload is not None:
-        return
-    if not node.is_vector:
-        sub = RtlPattern(node, max(1, rtl.height(node)), rtl_text(node))
-        canon, _ = canonicalize(sub)
-        counter[canon.canonical_text] += 1
-    for c in node.children:
-        _count_subpatterns(c, counter)
+def _count_subpatterns(text, counter):
+    # diagnostic only: each '(' of an extracted text opens one retained
+    # operator subtree
+    opens = []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            opens.append(i)
+        elif ch == ")":
+            counter[renumber_holes(text[opens.pop():i + 1])] += 1

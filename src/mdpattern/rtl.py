@@ -186,16 +186,15 @@ class RtlExpr:
     """One node of an RTL tree.
 
     Exactly one shape holds per node: an operator (code set, children and
-    scalar arguments in order), a scalar leaf (payload set), a vector
-    group (is_vector), or a parameter hole (param set, pattern trees only).
+    scalar arguments in order), a scalar leaf (payload set), or a vector
+    group (is_vector).
     """
 
     code: str | None = None
-    mode: str | None = None  # text after ':', kept verbatim; '$modeN' in patterns
+    mode: str | None = None  # text after ':', kept verbatim
     children: list = field(default_factory=list)
     payload: SExpr | None = None
     is_vector: bool = False
-    param: str | None = None
 
 
 def _build_arg(arg):
@@ -249,8 +248,6 @@ def height(e: RtlExpr) -> int:
 
 def rtl_text(e: RtlExpr) -> str:
     """Render back to MD syntax (single spaces); inverse of tree building."""
-    if e.param is not None:
-        return e.param
     if e.payload is not None:
         return sexpr.serialize(e.payload)
     if e.is_vector:

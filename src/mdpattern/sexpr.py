@@ -107,9 +107,7 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
             buf = []
             while i < n and source[i] != '"':
                 ch = source[i]
-                if ch == "\\":
-                    if i + 1 >= n:
-                        break
+                if ch == "\\" and i + 1 < n:
                     nxt = source[i + 1]
                     buf.append(_STR_ESCAPES.get(nxt, "\\" + nxt))
                     bump(ch)
@@ -143,6 +141,8 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
             toks.append(Token("brace", source[start + 1 : i], sl, sc))
             bump("}")
             i += 1
+        elif c == "}":
+            raise UnbalancedParen("unmatched '}'", filename, line, col)
         else:
             sl, sc = line, col
             start = i

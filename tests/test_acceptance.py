@@ -163,10 +163,10 @@ def test_criterion_5_invariant_suite():
     alpha = analyze_file(DATA / "synth" / "alpha.md", "alpha", table)
     beta = analyze_file(DATA / "synth" / "beta.md", "beta", table)
     checks = []
-    # alpha-invariance via canonicalization idempotence
+    # alpha-invariance: extracted texts are already canonical
     for e in alpha.store.entries():
-        canon, _ = pattern.canonicalize(e.pattern)
-        checks.append(canon.canonical_text == e.pattern.canonical_text)
+        text = e.pattern.canonical_text
+        checks.append(pattern.renumber_holes(text) == text)
     # count conservation
     checks.append(sum(e.count for e in alpha.store.entries()) == alpha.expr_count)
     # symmetry and bounds

@@ -133,12 +133,29 @@ def test_read_malformed_entry_reports_line():
 @pytest.mark.parametrize("second", [
     "0 2 1 (set $arg0 (plus:$mode0 $arg1 $arg2))",  # duplicate id
     "1 2 1 (set $arg0 $arg1)",  # duplicate text
+    "1 2 1 ( set  $arg0 $arg1 )",  # duplicate text up to spacing
 ])
 def test_read_duplicate_entry_reports_line(second):
     ptext = "# arch: x\n# total_templates: 2\n0 2 1 (set $arg0 $arg1)\n%s\n" % second
     with pytest.raises(MalformedEntry) as ei:
         read_archives(ptext, "0 define_insn a $arg0=x $arg1=y\n")
     assert ei.value.lineno == 4
+
+
+@pytest.mark.parametrize("text", ["(set $arg0", "(set () $arg0)", "(set (1 $arg0))",
+                                  "((set) $arg0)", "[(set $arg0) ()]", "(a) (b)",
+                                  pytest.param("(set " * 5000 + "$arg0" + ")" * 5000,
+                                               id="deeper-than-the-recursive-parser")])
+def test_read_rejects_malformed_pattern_text(text):
+    with pytest.raises(MalformedEntry) as ei:
+        read_pattern_file("# arch: x\n# total_templates: 1\n0 1 1 %s\n" % text)
+    assert ei.value.lineno == 3
+
+
+def test_read_keeps_single_space_rendering():
+    pf = read_pattern_file("# arch: x\n# total_templates: 1\n"
+                           "0 2 1 ( set  $arg0 [ (plus:$mode0 $arg1) ] )\n")
+    assert pf.entries == [(0, 2, 1, "(set $arg0 [(plus:$mode0 $arg1)])")]
 
 
 def test_read_dangling_pattern_id(alpha):

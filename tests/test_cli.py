@@ -165,6 +165,32 @@ def test_recombine_rejects_duplicate_pattern_id(tmp_path, capsys):
     assert "line 4: malformed entry" in err
 
 
+@pytest.mark.parametrize("third", [
+    "0 1 1 (set $arg0",  # unbalanced
+    "0 2 1 (set () $arg0)",  # a list without a head symbol
+    "0 2 1 (set   $arg0  $arg1 )",  # line 2's text up to spacing
+])
+def test_archive_reads_report_the_entry_line(tmp_path, capsys, third):
+    patterns = tmp_path / "x.patterns"
+    patterns.write_text("# arch: x\n1 2 1 (set $arg0 $arg1)\n%s\n"
+                        "# total_templates: 2\n" % third)
+    params = tmp_path / "x.params"
+    params.write_text("1 define_insn a $arg0=(reg:SI%200) $arg1=(reg:SI%201)\n")
+    for argv in (("recombine", "--patterns", str(patterns), "--params", str(params)),
+                 ("merge", str(patterns))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("mdpattern: line 3: malformed entry")
+
+
+def test_stats_stray_closing_brace_is_parse_error(tmp_path, capsys):
+    (tmp_path / "bad.md").write_text('(define_insn "x" [(set (reg 0) (reg 1))] "" "")\n}\n')
+    (tmp_path / "m.txt").write_text("bad = bad.md\n")
+    code, _, err = run(capsys, "stats", "--manifest", str(tmp_path / "m.txt"))
+    assert code == EXIT_PARSE
+    assert "bad.md:2:1: unmatched '}'" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "stats")[0] == EXIT_USAGE  # missing --manifest
     assert run(capsys, "nonsense")[0] == EXIT_USAGE

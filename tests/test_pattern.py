@@ -1,13 +1,14 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import analyze_file, random_corpus, DATA
 from mdpattern import md_reader, pattern, rtl, sexpr
-from mdpattern.pattern import (ArityMismatch, ParamName, PatternStore,
-                               RtlPattern, analyze, canonicalize,
-                               extract_pattern, substitute)
+from mdpattern.pattern import (ArityMismatch, PatternStore, analyze,
+                               extract_pattern, register_iterators,
+                               renumber_holes, substitute)
 from mdpattern.rtl import RtxCodeTable, build_rtl_tree, build_template_tree, rtl_text
 
 MIPS_ADD = (
@@ -105,80 +106,62 @@ def test_no_machine_specific_nodes_remain(table):
     forms = md_reader.parse_md(corpus)
     a = analyze(forms, table)
 
-    def scan(node):
-        if node.param is not None:
+    def scan(e):
+        if isinstance(e, sexpr.Symbol):
+            assert e.text.startswith("$arg")
             return
-        assert node.payload is None or rtl_text(node).startswith("$")
-        if node.code is not None:
-            cls = table.rtx_class(node.code)
-            assert cls not in (rtl.RtxClass.OBJ, rtl.RtxClass.CONST_OBJ,
-                               rtl.RtxClass.MATCH)
-        for c in node.children:
+        items = e.items
+        if isinstance(e, sexpr.SList):
+            code, _, mode = items[0].text.partition(":")
+            assert table.rtx_class(code) not in (rtl.RtxClass.OBJ, rtl.RtxClass.CONST_OBJ,
+                                                 rtl.RtxClass.MATCH)
+            assert mode == "" or mode.startswith("$mode")
+            items = items[1:]
+        for c in items:
             scan(c)
 
     for e in a.store.entries():
-        scan(e.pattern.tree)
+        scan(sexpr.parse_one(e.pattern.canonical_text))
 
 
 # ---------------------------------------------------------------------------
-# Canonicalization
-
-
-def _pattern_from_text(text):
-    tree = _as_pattern_tree(sexpr.parse_one(text))
-    return RtlPattern(tree, max(1, rtl.height(tree)), rtl_text(tree))
-
-
-def _as_pattern_tree(e):
-    node = rtl._build_arg(e)
-
-    def fix(n):
-        if n.payload is not None and isinstance(n.payload, sexpr.Symbol) \
-                and n.payload.text.startswith("$arg"):
-            return rtl.RtlExpr(param=n.payload.text)
-        n.children = [fix(c) for c in n.children]
-        return n
-
-    return fix(node)
+# Canonical text
 
 
 def test_canonicalize_renumbers():
-    p = _pattern_from_text("(set $arg3 $arg1)")
-    canon, _ = canonicalize(p)
-    assert canon.canonical_text == "(set $arg0 $arg1)"
+    assert renumber_holes("(set $arg3 (plus:$mode2 $arg1 $arg3))") \
+        == "(set $arg0 (plus:$mode0 $arg1 $arg0))"
 
 
-def test_canonicalize_idempotent():
-    p = _pattern_from_text("(set $arg0 (plus:$mode0 $arg1 $arg2))")
-    once, _ = canonicalize(p)
-    twice, _ = canonicalize(once)
-    assert once.canonical_text == twice.canonical_text == p.canonical_text
+def test_canonicalize_idempotent(table):
+    # extraction alone numbers holes canonically
+    a = analyze(md_reader.parse_md(random_corpus(5)), table)
+    for text in ["(set $arg0 (plus:$mode0 $arg1 $arg2))", *a.store.canonical_texts()]:
+        assert renumber_holes(text) == text
 
 
 @given(st.randoms(use_true_random=False))
 def test_alpha_invariance_under_renaming(rng):
-    p = _pattern_from_text("(set $arg0 (plus:$mode0 $arg1 (minus:$mode1 $arg2 $arg0)))")
+    text = "(set $arg0 (plus:$mode0 $arg1 (minus:$mode1 $arg2 $arg0)))"
     args = ["$arg0", "$arg1", "$arg2"]
     modes = ["$mode0", "$mode1"]
     perm_a = rng.sample(range(10, 19), len(args))
     perm_m = rng.sample(range(10, 19), len(modes))
     renames = {a: "$arg%d" % i for a, i in zip(args, perm_a)}
     renames.update({m: "$mode%d" % i for m, i in zip(modes, perm_m)})
-    shuffled = RtlPattern(pattern._rename_tree(p.tree, renames), p.height, "")
-    shuffled.canonical_text = rtl_text(shuffled.tree)
-    canon, _ = canonicalize(shuffled)
-    base, _ = canonicalize(p)
-    assert canon.canonical_text == base.canonical_text
+    shuffled = re.sub(r"\$(arg|mode)\d+", lambda m: renames[m.group(0)], text)
+    assert renumber_holes(shuffled) == text
 
 
 # ---------------------------------------------------------------------------
 # Height and the store
 
 
-def test_pattern_height():
-    a = _pattern_from_text("(set $arg0 $arg1)")
-    b = _pattern_from_text("(set $arg0 (plus:$mode0 $arg1 $arg2))")
-    assert a.height == 2 and b.height == 3
+def test_pattern_height(table):
+    a, _ = _extract("(set (reg:SI 0) (mem:SI (reg:SI 1)))", table)
+    b, _ = _extract(ARM_ADD, table)
+    c, _ = _extract("(parallel [(set (reg 0) (neg:SI (reg 1))) (clobber (reg 2))])", table)
+    assert (a.height, b.height, c.height) == (2, 3, 4)
 
 
 def test_store_dedup(table):
@@ -214,7 +197,13 @@ def test_store_three_variants_one_pattern(table):
 def test_substitution_roundtrip(table):
     for src in (ARM_ADD, MIPS_ADD, "(set (reg:SI 0) (plus:SI (reg:SI 0) (reg:SI 0)))"):
         p, assigns = _extract(src, table)
-        assert substitute(p.tree, dict(assigns)) == src
+        assert substitute(p.canonical_text, dict(assigns)) == src
+
+
+def test_substitution_fills_whole_holes_only():
+    text = '(set:$mode0 [$arg0 "s $arg0" {$arg0}] (x y:$mode0) $arg0x)'
+    mapping = {"$mode0": "SI", "$arg0": "(reg 1)", "$arg0x": "7"}
+    assert substitute(text, mapping) == '(set:SI [(reg 1) "s $arg0" {$arg0}] (x y:$mode0) 7)'
 
 
 def test_substitution_arity_mismatch(table):
@@ -222,11 +211,11 @@ def test_substitution_arity_mismatch(table):
     short = dict(assigns)
     short.pop("$arg2")
     with pytest.raises(ArityMismatch):
-        substitute(p.tree, short)
+        substitute(p.canonical_text, short)
     extra = dict(assigns)
     extra["$arg9"] = "(reg 1)"
     with pytest.raises(ArityMismatch):
-        substitute(p.tree, extra)
+        substitute(p.canonical_text, extra)
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,7 +225,7 @@ def test_substitution_roundtrip_random(table, seed):
     a = analyze(forms, table)
     for b, src in zip(a.bindings, a.source_texts):
         entry = a.store.get(b.pattern_id)
-        assert substitute(entry.pattern.tree, dict(b.assignments)) == src
+        assert substitute(entry.pattern.canonical_text, dict(b.assignments)) == src
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +253,9 @@ def test_analyze_counts_conserved(table):
 
 def test_analyze_registers_iterators(table):
     a = analyze_file(DATA / "synth" / "alpha.md", "alpha", table)
-    assert "any_logic" in a.code_iterator_names
-    assert "<logic_insn>" in a.code_iterator_names
+    names, _ = register_iterators(md_reader.load_md_file(DATA / "synth" / "alpha.md"))
+    assert "any_logic" in names
+    assert "<logic_insn>" in names
     assert any("define_mode_iterator ANYI" in it for it in a.iterators)
 
 

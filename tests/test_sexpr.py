@@ -66,6 +66,18 @@ def test_lex_parse_errors(src, exc):
     assert ei.value.line >= 1
 
 
+def test_stray_closing_brace_is_an_error():
+    with pytest.raises(sexpr.UnbalancedParen) as ei:
+        tokenize("(a)\n  } b", "t.md")
+    assert (ei.value.line, ei.value.col, ei.value.msg) == (2, 3, "unmatched '}'")
+
+
+def test_lone_backslash_at_end_of_string_is_unterminated():
+    with pytest.raises(sexpr.UnterminatedString) as ei:
+        tokenize('(a "x\\')
+    assert (ei.value.line, ei.value.col) == (1, 4)
+
+
 def test_parse_empty_input():
     assert parse_text("") == []
     assert parse_text(" ; only a comment\n") == []
