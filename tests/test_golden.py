@@ -17,7 +17,11 @@ from conftest import DATA  # noqa: E402
 from mdpattern.cli import main  # noqa: E402
 
 GOLDEN = DATA / "golden"
-CORPORA = {"synth": ("alpha", "beta"), "fig2": ("mips", "arm")}
+CORPORA = {"synth": ("alpha", "beta"), "fig2": ("mips", "arm"), "iter": ("iota", "kappa")}
+#: Corpora whose expanded reports are also recorded with the two archs
+#: swapped, from a manifest that lists them in the other order: greedy
+#: matching is not symmetric.
+SWAPPED = {"iter": "swapped.txt"}
 
 
 def _report_cases(corpus):
@@ -36,6 +40,16 @@ def _report_cases(corpus):
                               + manifest + [expand]))
             name = "compare%s.%s" % (expand, fmt)
             cases.append((name, ["compare", a, b, "--format", fmt] + manifest + [expand]))
+    if corpus in SWAPPED:
+        swapped = ["--manifest", str(DATA / corpus / SWAPPED[corpus])]
+        for fmt in ("text", "json"):
+            for metric in ("pattern", "expr", "coverage"):
+                name = "swapped-matrix-%s--expand-iterators.%s" % (metric, fmt)
+                cases.append((name, ["matrix", "--metric", metric, "--format", fmt]
+                              + swapped + ["--expand-iterators"]))
+            name = "swapped-compare--expand-iterators.%s" % fmt
+            cases.append((name, ["compare", b, a, "--format", fmt] + swapped
+                          + ["--expand-iterators"]))
     cases.append(("verify.txt", ["verify"] + manifest))
     return [(name, [arg for arg in argv if arg]) for name, argv in cases]
 
