@@ -54,13 +54,13 @@ def _analyze_entry(entry: ManifestEntry, table, args):
     try:
         forms = md_reader.load_md_file(entry.path, entry.resolve_includes,
                                        entry.considered_heads)
+        return pattern.analyze(
+            forms, table, entry.name,
+            include_bin_arith=not getattr(args, "no_bin_arith", False),
+            count_subpatterns=getattr(args, "count_subpatterns", False),
+        )
     except (OSError, md_reader.MdReaderError, SExprError) as exc:
         raise CliError("%s: %s" % (entry.name, exc), EXIT_PARSE)
-    return pattern.analyze(
-        forms, table, entry.name,
-        include_bin_arith=not getattr(args, "no_bin_arith", False),
-        count_subpatterns=getattr(args, "count_subpatterns", False),
-    )
 
 
 def _analyze_manifest(entries, table, args):

@@ -192,6 +192,9 @@ class MdAnalysis:
     iterators: list[str]  # verbatim iterator definition forms
     source_texts: list[str] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
+    code_iterators: dict = field(default_factory=dict)  # name -> member codes
+    # (pattern id, expanded texts) per store entry; similarity fills it once
+    expansions: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def expr_count(self) -> int:
@@ -199,24 +202,46 @@ class MdAnalysis:
 
 
 def register_iterators(forms):
-    """Names usable in code position: code iterators plus '<attr>' refs."""
+    """Iterator names, verbatim iterator forms and code-iterator members.
+
+    The names are those usable in code position: code iterators plus
+    '<attr>' refs.  The members map each code iterator defined as
+    ``(define_code_iterator name [code (code "cond") ...])`` to its codes.
+    """
     names = set()
     verbatim = []
+    members = {}
     for form in forms:
         if form.kind is not FormKind.ITERATOR:
             continue
-        verbatim.append(sexpr.serialize(form.body))
+        try:
+            verbatim.append(sexpr.serialize(form.body))
+        except RecursionError:  # the printer recurses per nesting level
+            raise _too_deep(form) from None
         if form.head == "define_code_iterator" and form.name:
             names.add(form.name)
         elif form.head == "define_code_attr" and form.name:
             names.add("<%s>" % form.name)
-    return frozenset(names), verbatim
+        items = form.body.items
+        if (form.head == "define_code_iterator" and len(items) >= 3
+                and isinstance(items[1], sexpr.Symbol)
+                and isinstance(items[2], sexpr.SVector)):
+            codes = []
+            for item in items[2].items:
+                if isinstance(item, sexpr.Symbol):
+                    codes.append(item.text)
+                elif (isinstance(item, sexpr.SList) and item.items
+                      and isinstance(item.items[0], sexpr.Symbol)):
+                    codes.append(item.items[0].text)  # (code "condition") member
+            if codes:
+                members[items[1].text] = tuple(codes)
+    return frozenset(names), verbatim, members
 
 
 def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True,
             count_subpatterns=False) -> MdAnalysis:
     """Run the pattern pipeline over one architecture's parsed forms."""
-    iterators, verbatim = register_iterators(forms)
+    iterators, verbatim, members = register_iterators(forms)
     store = PatternStore()
     bindings = []
     source_texts = []
@@ -229,16 +254,19 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True,
         try:
             vec = md_reader.extract_template_vector(form)
             tree = rtl.build_template_tree(vec)
+            pattern, assignments = extract_pattern(
+                tree, table, iterators, include_bin_arith, unknown
+            )
+            source_text = rtl_text(tree)
         except (MissingTemplateVector, rtl.RtlError) as exc:
             skipped.append(str(exc))
             continue
-        pattern, assignments = extract_pattern(
-            tree, table, iterators, include_bin_arith, unknown
-        )
+        except RecursionError:  # the tree walks recurse per nesting level
+            raise _too_deep(form) from None
         pid, _ = store.insert(pattern)
         bindings.append(ParamBinding(pid, assignments, form.head, form.name,
                                      _origin_text(form)))
-        source_texts.append(rtl_text(tree))
+        source_texts.append(source_text)
         if count_subpatterns:
             _count_subpatterns(pattern.canonical_text, subpatterns)
     diagnostics = {"unknown_codes": dict(unknown), "skipped": skipped}
@@ -251,7 +279,12 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True,
         iterators=verbatim,
         source_texts=source_texts,
         diagnostics=diagnostics,
+        code_iterators=members,
     )
+
+
+def _too_deep(form):
+    return sexpr.NestingTooDeep(form.origin or sexpr.Loc(None, 0, 0))
 
 
 def _origin_text(form):

@@ -209,7 +209,7 @@ def build_rtl_tree(s: SExpr) -> RtlExpr:
     """Convert a template s-expression into an RtlExpr tree.
 
     The head symbol is split at its first ':' into code and mode; the mode
-    text (SI, GPR, '<mode>', ...) is kept verbatim.
+    text (SI, GPR, '<mode>', ...) is kept verbatim, and is '' after a bare ':'.
     """
     if not isinstance(s, SList):
         raise NotAList("RTL expression must be a list: %s" % sexpr.serialize(s))
@@ -218,10 +218,10 @@ def build_rtl_tree(s: SExpr) -> RtlExpr:
     head = s.items[0]
     if not isinstance(head, Symbol):
         raise NotAList("RTL head is not a symbol: %s" % sexpr.serialize(s))
-    code, _, mode = head.text.partition(":")
+    code, sep, mode = head.text.partition(":")
     return RtlExpr(
         code=code,
-        mode=mode or None,
+        mode=mode if sep else None,
         children=[_build_arg(a) for a in s.items[1:]],
     )
 

@@ -42,6 +42,13 @@ class UnexpectedToken(SExprError):
     pass
 
 
+class NestingTooDeep(SExprError):
+    """A form nests deeper than the recursive parser and tree walks follow."""
+
+    def __init__(self, loc: "Loc"):
+        super().__init__("nesting too deep", loc.filename, loc.line, loc.col)
+
+
 @dataclass(frozen=True)
 class Loc:
     filename: str | None
@@ -241,7 +248,10 @@ def parse_text(source: str, filename: str | None = None) -> list[SExpr]:
                 "unmatched '%s'" % toks[i].kind, filename, toks[i].line, toks[i].col
             )
         loc = Loc(filename, toks[i].line, toks[i].col)
-        expr, i = _parse_expr(toks, i, filename)
+        try:
+            expr, i = _parse_expr(toks, i, filename)
+        except RecursionError:  # the parser recurses once per nesting level
+            raise NestingTooDeep(loc) from None
         expr.loc = loc
         out.append(expr)
     return out

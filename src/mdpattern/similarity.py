@@ -10,7 +10,6 @@ import itertools
 from dataclasses import dataclass
 
 from .pattern import MdAnalysis
-from .sexpr import SList, SVector, Symbol, parse_one
 
 
 class SimilarityError(Exception):
@@ -61,79 +60,87 @@ def coverage_pct(covered: int, e_target: int) -> float:
 
 
 def _iterator_members(analysis: MdAnalysis) -> dict:
-    """Code-iterator name -> member code list, parsed from recorded forms."""
-    members = {}
-    for text in analysis.iterators:
-        form = parse_one(text)
-        if not isinstance(form, SList) or len(form.items) < 3:
-            continue
-        head = form.items[0]
-        if not isinstance(head, Symbol) or head.text != "define_code_iterator":
-            continue
-        name = form.items[1]
-        body = form.items[2]
-        if not isinstance(name, Symbol) or not isinstance(body, SVector):
-            continue
-        codes = []
-        for item in body.items:
-            if isinstance(item, Symbol):
-                codes.append(item.text)
-            elif isinstance(item, SList) and item.items and isinstance(item.items[0], Symbol):
-                codes.append(item.items[0].text)  # (code "condition") member
-        if codes:
-            members[name.text] = codes
-    return members
+    """Code-iterator name -> member codes, as pattern.analyze parsed them."""
+    return analysis.code_iterators
 
 
 _EXPANSION_CAP = 64
 
 
-def _expand_text(text: str, members: dict) -> frozenset:
-    """All iterator-member substitutions of one canonical text (capped)."""
+def _expand_text(text: str, members: dict) -> tuple:
+    """All iterator-member substitutions of one canonical text (capped).
+
+    Members are substituted in definition order, and each step keeps the
+    first _EXPANSION_CAP variants.
+    """
     variants = [text]
+    # needles hold no whitespace, so a needle is in `joined` iff it is in
+    # one of the variants
+    joined = text
     for name, codes in members.items():
-        for needle in ("(%s " % name, "(%s:" % name, "(%s)" % name):
-            if any(needle in v for v in variants):
+        opener = "(" + name
+        if opener not in joined:
+            continue
+        for needle in (opener + " ", opener + ":", opener + ")"):
+            if needle in joined:
                 new = []
                 for v in variants:
                     if needle in v:
-                        for code in codes:
-                            new.append(v.replace(needle, needle.replace(name, code)))
+                        new.extend(v.replace(needle, needle.replace(name, code))
+                                   for code in codes)
                     else:
                         new.append(v)
+                    if len(new) >= _EXPANSION_CAP:
+                        break
                 variants = new[:_EXPANSION_CAP]
-    return frozenset(variants)
+                joined = "\n".join(variants)
+    return tuple(dict.fromkeys(variants))
+
+
+def _texts(analysis: MdAnalysis, expand_iterators):
+    """(pattern id, texts it matches on) per store entry, in entries() order.
+
+    The expansions are computed on first use and kept on the analysis.
+    """
+    if not expand_iterators:
+        return [(e.pattern_id, (e.pattern.canonical_text,)) for e in analysis.store.entries()]
+    if analysis.expansions is None:
+        members = _iterator_members(analysis)
+        analysis.expansions = [(e.pattern_id, _expand_text(e.pattern.canonical_text, members))
+                               for e in analysis.store.entries()]
+    return analysis.expansions
 
 
 def common_patterns(a: MdAnalysis, b: MdAnalysis, expand_iterators=False):
-    """Matched (id_a, id_b) pairs; each pattern matches at most one partner."""
-    if not expand_iterators:
-        texts_b = {e.pattern.canonical_text: e.pattern_id for e in b.store.entries()}
-        return [
-            (e.pattern_id, texts_b[e.pattern.canonical_text])
-            for e in a.store.entries()
-            if e.pattern.canonical_text in texts_b
-        ]
-    mem_a, mem_b = _iterator_members(a), _iterator_members(b)
-    expanded_b = [
-        (e.pattern_id, _expand_text(e.pattern.canonical_text, mem_b))
-        for e in b.store.entries()
-    ]
-    matched_b = set()
+    """Matched (id_a, id_b) pairs; each pattern matches at most one partner.
+
+    Greedy first fit: each pattern of a, in (height, id) order, takes the
+    first unmatched pattern of b in that order that shares a text with it;
+    with expand_iterators, any of their code-iterator expansions.
+    """
+    texts_b = _texts(b, expand_iterators)
+    index = {}  # text -> positions in texts_b, descending
+    for pos in range(len(texts_b) - 1, -1, -1):
+        for text in texts_b[pos][1]:
+            index.setdefault(text, []).append(pos)
+    matched = set()
     out = []
-    for ea in a.store.entries():
-        ex_a = _expand_text(ea.pattern.canonical_text, mem_a)
-        for id_b, ex_b in expanded_b:
-            if id_b not in matched_b and ex_a & ex_b:
-                out.append((ea.pattern_id, id_b))
-                matched_b.add(id_b)
-                break
+    for id_a, texts in _texts(a, expand_iterators):
+        best = None
+        for text in texts:
+            hits = index.get(text)
+            while hits and hits[-1] in matched:
+                hits.pop()
+            if hits and (best is None or hits[-1] < best):
+                best = hits[-1]
+        if best is not None:
+            matched.add(best)
+            out.append((id_a, texts_b[best][0]))
     return out
 
 
 def _covered_count(analysis: MdAnalysis, ids) -> int:
-    ids = set(ids)
-    return sum(e.count for e in analysis.store.entries() if e.pattern_id in ids)
+    return sum(analysis.store.get(i).count for i in ids)
 
 
 def pattern_similarity(a: MdAnalysis, b: MdAnalysis, expand_iterators=False) -> float:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -189,6 +190,58 @@ def test_stats_stray_closing_brace_is_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "stats", "--manifest", str(tmp_path / "m.txt"))
     assert code == EXIT_PARSE
     assert "bad.md:2:1: unmatched '}'" in err
+
+
+def _one_form_manifest(tmp_path, source):
+    (tmp_path / "one.md").write_text(source)
+    (tmp_path / "m.txt").write_text("one = one.md\n")
+    return str(tmp_path / "m.txt")
+
+
+def _nested_template(depth):
+    return ('(define_insn "deep"\n  [(set (reg:SI 0) %s(reg:SI 1)%s)]\n  "" "")\n'
+            % ("(neg:SI " * depth, ")" * depth))
+
+
+def _nested_iterator(depth):
+    return "(define_code_iterator deep [plus %s%s])\n" % ("(minus " * depth, ")" * depth)
+
+
+@pytest.mark.parametrize("source", [
+    _nested_template(1000),
+    _nested_template(50000),
+    # parses, but the tree walks take three stack frames per level
+    _nested_template(sys.getrecursionlimit() * 2 // 5),
+    # parses, but the printer takes two stack frames per level
+    _nested_iterator(sys.getrecursionlimit() * 2 // 3),
+], ids=["template-1000", "template-50000", "template-walks", "iterator-printer"])
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys, source):
+    manifest = _one_form_manifest(tmp_path, ";; too deep\n" + source)
+    for command in ("stats", "verify"):
+        code, out, err = run(capsys, command, "--manifest", manifest)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "mdpattern: one: %s:2:1: nesting too deep\n" % (tmp_path / "one.md")
+
+
+def test_nesting_100_deep_is_analyzed(tmp_path, capsys):
+    manifest = _one_form_manifest(tmp_path, _nested_template(100))
+    code, out, _ = run(capsys, "verify", "--manifest", manifest)
+    assert (code, out) == (EXIT_OK, "one: 0 missing / 0 extra / 0 changed\n")
+
+
+def test_empty_mode_keeps_its_colon(tmp_path, capsys):
+    manifest = _one_form_manifest(
+        tmp_path, '(define_insn "x"\n  [(set (reg: 0)\n        (plus: (reg:SI 1) (reg:SI 2)))]\n'
+                  '  "" "")\n')
+    code, _, _ = run(capsys, "extract", "one", "--manifest", manifest,
+                     "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, "recombine", "--patterns", str(tmp_path / "one.patterns"),
+                       "--params", str(tmp_path / "one.params"))
+    assert code == EXIT_OK
+    assert "\n  [(set (reg: 0) (plus: (reg:SI 1) (reg:SI 2)))]\n" in out
+    code, out, _ = run(capsys, "verify", "--manifest", manifest)
+    assert (code, out) == (EXIT_OK, "one: 0 missing / 0 extra / 0 changed\n")
 
 
 def test_usage_error_exit_code(capsys):

@@ -253,7 +253,9 @@ def test_analyze_counts_conserved(table):
 
 def test_analyze_registers_iterators(table):
     a = analyze_file(DATA / "synth" / "alpha.md", "alpha", table)
-    names, _ = register_iterators(md_reader.load_md_file(DATA / "synth" / "alpha.md"))
+    names, _, members = register_iterators(
+        md_reader.load_md_file(DATA / "synth" / "alpha.md"))
+    assert members == {"any_logic": ("and", "ior", "xor")}
     assert "any_logic" in names
     assert "<logic_insn>" in names
     assert any("define_mode_iterator ANYI" in it for it in a.iterators)

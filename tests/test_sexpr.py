@@ -78,6 +78,15 @@ def test_lone_backslash_at_end_of_string_is_unterminated():
     assert (ei.value.line, ei.value.col) == (1, 4)
 
 
+def test_deep_nesting_is_a_typed_error():
+    source = "(a)\n  [" + "(b " * 50000 + ")" * 50000 + "]"
+    with pytest.raises(sexpr.NestingTooDeep) as ei:
+        parse_text(source, "t.md")
+    assert (ei.value.filename, ei.value.line, ei.value.col) == ("t.md", 2, 3)
+    nested = "(b " * 100 + ")" * 100
+    assert serialize(parse_one(nested)) == nested.replace(" )", ")")
+
+
 def test_parse_empty_input():
     assert parse_text("") == []
     assert parse_text(" ; only a comment\n") == []

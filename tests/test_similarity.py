@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA, analyze_file, random_corpus
-from mdpattern import md_reader, pattern, similarity
+from mdpattern import cli, md_reader, pattern, similarity
+from mdpattern.pattern import MdAnalysis, PatternStore, RtlPattern
 from mdpattern.similarity import (BothEmpty, EmptyTarget, common_patterns,
                                   coverage_pct, expression_similarity,
                                   expression_similarity_pct,
@@ -174,3 +175,149 @@ def test_expand_iterators_mode(table):
     g = pattern.analyze(md_reader.parse_md(gamma_src), table, "g")
     assert common_patterns(a, g) == []
     assert len(common_patterns(a, g, expand_iterators=True)) == 1
+
+
+# -- iterator expansion against the reference scan ----------------------------
+
+
+def _reference_expand(text, members):
+    variants = [text]
+    for name, codes in members.items():
+        for needle in ("(%s " % name, "(%s:" % name, "(%s)" % name):
+            if any(needle in v for v in variants):
+                new = []
+                for v in variants:
+                    if needle in v:
+                        new.extend(v.replace(needle, needle.replace(name, c)) for c in codes)
+                    else:
+                        new.append(v)
+                variants = new[:64]
+    return frozenset(variants)
+
+
+def _reference_common_patterns(a, b):
+    """Greedy first fit by scanning all pairs: each pattern of a takes the
+    first unmatched pattern of b whose expansions share a text with its own."""
+    expanded_b = [(e.pattern_id, _reference_expand(e.pattern.canonical_text, b.code_iterators))
+                  for e in b.store.entries()]
+    matched, out = set(), []
+    for ea in a.store.entries():
+        ex_a = _reference_expand(ea.pattern.canonical_text, a.code_iterators)
+        for id_b, ex_b in expanded_b:
+            if id_b not in matched and ex_a & ex_b:
+                out.append((ea.pattern_id, id_b))
+                matched.add(id_b)
+                break
+    return out
+
+
+def _store_analysis(patterns, members):
+    """An analysis of (text, height) patterns, ids in list order."""
+    store = PatternStore()
+    for pid, (text, height) in enumerate(patterns):
+        store.insert_entry(pid, RtlPattern(text, height), 1)
+    return MdAnalysis("m", store, [], [], code_iterators=members)
+
+
+# Names and codes collide on purpose: an iterator may list another iterator
+# or itself, and "p:it" / "p" / "p:q" share the stem before their ':'.
+_NAMES = ("xy", "it", "p:it", "plus")
+_CODES = ("plus", "neg", "x", "y", "p", "p:q") + _NAMES
+
+_texts = st.recursive(
+    st.just("$arg0"),
+    lambda kids: st.builds(
+        lambda head, mode, args: "(%s)" % " ".join([head + mode, *args]),
+        st.sampled_from(_CODES), st.sampled_from(["", ":$mode0"]),
+        st.lists(kids, max_size=2)),
+    max_leaves=4)
+_patterns = st.lists(st.tuples(_texts, st.integers(1, 3)), max_size=8,
+                     unique_by=lambda p: p[0])
+_members = st.dictionaries(st.sampled_from(_NAMES),
+                           st.lists(st.sampled_from(_CODES), min_size=1, max_size=5).map(tuple),
+                           max_size=4)
+_ROADMAP_A = ([("(xy $arg0)", 1), ("(x $arg0)", 1)], {"xy": ("x", "y")})
+_ROADMAP_B = ([("(x $arg0)", 1), ("(y $arg0)", 1)], {})
+# 5 * 6 * 3 = 90 variants, cut to the first 64
+_CAPPED = ([("(plus (xy $arg0) (it $arg1) (p:it:$mode0))", 2)],
+           {"xy": ("x", "y", "neg", "p", "plus"), "it": ("x", "y", "neg", "p", "plus", "p:q"),
+            "p:it": ("x", "neg", "plus")})
+_PAST_CAP = ([("(plus (plus $arg0) (plus $arg1) (plus:$mode0))", 2),
+              ("(plus (x $arg0) (x $arg1) (x:$mode0))", 2)], {})
+# "it" is defined after "xy" and substituted into its texts
+_NESTED = ([("(xy $arg0)", 1)], {"xy": ("it",), "it": ("x", "y")})
+# substituting "p" for "xy" in "(xy:it" writes a needle of "p:it"
+_NESTED_STEM = ([("(xy:it $arg0)", 1)], {"xy": ("p",), "p:it": ("x", "y")})
+# both variants of "(xy $arg0)" hit; the later variant hits the earlier pattern
+_HITS_BOTH = ([("(y $arg0)", 1), ("(x $arg0)", 1)], {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_patterns, _members), st.tuples(_patterns, _members))
+@example(_ROADMAP_A, _ROADMAP_B)
+@example(_CAPPED, _PAST_CAP)
+@example(_NESTED, _HITS_BOTH)
+@example(_NESTED_STEM, _HITS_BOTH)
+def test_expanded_matching_equals_reference_scan(side_a, side_b):
+    a, b = _store_analysis(*side_a), _store_analysis(*side_b)
+    assert common_patterns(a, b, True) == _reference_common_patterns(a, b)
+    assert common_patterns(b, a, True) == _reference_common_patterns(b, a)
+
+
+def test_greedy_matching_depends_on_order():
+    # p1 -> {x, y} takes q1 -> {x} first, so p2 -> {x} finds no partner and
+    # q2 -> {y} stays unmatched: 1 pair where a maximum matching has 2.
+    a, b = _store_analysis(*_ROADMAP_A), _store_analysis(*_ROADMAP_B)
+    assert common_patterns(a, b, True) == [(0, 0)]
+    assert common_patterns(b, a, True) == [(0, 0)]
+
+
+def test_expansion_past_the_cap_is_dropped():
+    a, b = _store_analysis(*_CAPPED), _store_analysis(*_PAST_CAP)
+    assert len(similarity._expand_text(_CAPPED[0][0][0], a.code_iterators)) == 64
+    # members are substituted in order, so the all-"x" variant is among the
+    # first 64 and the all-"plus" one is cut
+    assert common_patterns(a, b, True) == [(0, 1)]
+    assert common_patterns(b, a, True) == [(1, 0)]
+
+
+# -- work counts: each pattern is expanded once per analysis ------------------
+
+ITER = DATA / "iter"
+
+
+@pytest.fixture
+def expand_calls(monkeypatch):
+    calls = []
+    expand = similarity._expand_text
+
+    def counted(text, members):
+        calls.append(text)
+        return expand(text, members)
+
+    monkeypatch.setattr(similarity, "_expand_text", counted)
+    return calls
+
+
+def _pattern_counts(table, paths):
+    return [analyze_file(p, p.stem, table).store.pattern_count for p in paths]
+
+
+def test_compare_expands_each_pattern_once(table, expand_calls, capsys):
+    manifest = str(ITER / "manifest.txt")
+    assert cli.main(["compare", "iota", "kappa", "--manifest", manifest]) == 0
+    assert expand_calls == []
+    assert cli.main(["compare", "iota", "kappa", "--manifest", manifest,
+                     "--expand-iterators"]) == 0
+    assert len(expand_calls) == sum(
+        _pattern_counts(table, [ITER / "iota.md", ITER / "kappa.md"]))
+
+
+@pytest.mark.parametrize("metric", ["pattern", "expr", "coverage"])
+def test_matrix_expands_each_pattern_once(table, expand_calls, capsys, tmp_path, metric):
+    paths = [ITER / "iota.md", ITER / "kappa.md", DATA / "synth" / "alpha.md"]
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("".join("%s = %s\n" % (p.stem, p) for p in paths))
+    assert cli.main(["matrix", "--metric", metric, "--manifest", str(manifest),
+                     "--expand-iterators"]) == 0
+    assert len(expand_calls) == sum(_pattern_counts(table, paths))
