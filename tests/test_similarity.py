@@ -220,7 +220,7 @@ def _store_analysis(patterns, members):
 
 
 # Names and codes collide on purpose: an iterator may list another iterator
-# or itself, and "p:it" / "p" / "p:q" share the stem before their ':'.
+# or itself, and the name "p:it" starts like the codes "p" and "p:q".
 _NAMES = ("xy", "it", "p:it", "plus")
 _CODES = ("plus", "neg", "x", "y", "p", "p:q") + _NAMES
 
@@ -247,7 +247,7 @@ _PAST_CAP = ([("(plus (plus $arg0) (plus $arg1) (plus:$mode0))", 2),
 # "it" is defined after "xy" and substituted into its texts
 _NESTED = ([("(xy $arg0)", 1)], {"xy": ("it",), "it": ("x", "y")})
 # substituting "p" for "xy" in "(xy:it" writes a needle of "p:it"
-_NESTED_STEM = ([("(xy:it $arg0)", 1)], {"xy": ("p",), "p:it": ("x", "y")})
+_NESTED_COLON = ([("(xy:it $arg0)", 1)], {"xy": ("p",), "p:it": ("x", "y")})
 # both variants of "(xy $arg0)" hit; the later variant hits the earlier pattern
 _HITS_BOTH = ([("(y $arg0)", 1), ("(x $arg0)", 1)], {})
 
@@ -257,7 +257,7 @@ _HITS_BOTH = ([("(y $arg0)", 1), ("(x $arg0)", 1)], {})
 @example(_ROADMAP_A, _ROADMAP_B)
 @example(_CAPPED, _PAST_CAP)
 @example(_NESTED, _HITS_BOTH)
-@example(_NESTED_STEM, _HITS_BOTH)
+@example(_NESTED_COLON, _HITS_BOTH)
 def test_expanded_matching_equals_reference_scan(side_a, side_b):
     a, b = _store_analysis(*side_a), _store_analysis(*side_b)
     assert common_patterns(a, b, True) == _reference_common_patterns(a, b)
