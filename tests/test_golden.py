@@ -17,7 +17,8 @@ from conftest import DATA  # noqa: E402
 from mdpattern.cli import main  # noqa: E402
 
 GOLDEN = DATA / "golden"
-CORPORA = {"synth": ("alpha", "beta"), "fig2": ("mips", "arm"), "iter": ("iota", "kappa")}
+CORPORA = {"synth": ("alpha", "beta"), "fig2": ("mips", "arm"), "iter": ("iota", "kappa"),
+           "lex": ("lex", "flat")}
 #: Corpora whose expanded reports are also recorded with the two archs
 #: swapped, from a manifest that lists them in the other order: greedy
 #: matching is not symmetric.
