@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class SExprError(Exception):
@@ -56,110 +57,87 @@ class Loc:
     col: int
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # one of '(' ')' '[' ']' 'symbol' 'int' 'string' 'brace'
     value: str
     line: int
     col: int
 
 
-_INT_RE = re.compile(r"-?\d+")
-_ATOM_END = set(" \t\r\n\f\v()[]{};\"")
+# Characters that end an atom; an atom is a maximal run of the others.
+_SPACE = r" \t\r\n\f\v"
+_ATOM_CHAR = r'[^%s()\[\]{};"]' % _SPACE
 
+#: One match per token: the whitespace and comments before it, then one
+#: alternative, whose group number says what was found.
+_TOKEN_RE = re.compile(
+    r"[{s}]*(?:(?:;[^\n]*|/\*.*?\*/)[{s}]*)*".format(s=_SPACE)
+    + r"(?:([()\[\]])"  # 1: punctuation
+    + r'|("[^"\\]*(?:\\.[^"\\]*)*")'  # 2: string
+    + r"|(-?\d+)(?!{a})".format(a=_ATOM_CHAR)  # 3: an integer that is a whole atom
+    + r"|((?!/\*){a}+)".format(a=_ATOM_CHAR)  # 4: symbol
+    + r"|(.)"  # 5: '{' opens a brace block; '"', '/' or '}' is an error
+    + r"|\Z)",
+    re.S,
+)
+_ATOM_KINDS = (None, None, None, "int", "symbol")  # by group number
+_BRACE_RE = re.compile(r"[{}]")
+_ESCAPE_RE = re.compile(r"\\(.)", re.S)
 _STR_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_STRAY = {
+    '"': (UnterminatedString, "unterminated string literal"),
+    "/": (UnterminatedComment, "unterminated block comment"),
+    "}": (UnbalancedParen, "unmatched '}'"),
+}
+
+
+def _unescape(m):
+    return _STR_ESCAPES.get(m.group(1), m.group(0))
 
 
 def tokenize(source: str, filename: str | None = None) -> list[Token]:
+    """Split a source into tokens; each carries the 1-based line and column
+    (in characters) of its first character."""
     toks: list[Token] = []
-    i, n = 0, len(source)
-    line, col = 1, 1
-
-    def bump(ch):
-        nonlocal line, col
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n\f\v":
-            bump(c)
-            i += 1
-        elif c == ";":
-            while i < n and source[i] != "\n":
-                bump(source[i])
-                i += 1
-        elif c == "/" and source.startswith("/*", i):
-            sl, sc = line, col
-            i += 2
-            col += 2
-            while i < n and not source.startswith("*/", i):
-                bump(source[i])
-                i += 1
-            if i >= n:
-                raise UnterminatedComment("unterminated block comment", filename, sl, sc)
-            i += 2
-            col += 2
-        elif c in "()[]":
-            toks.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-        elif c == '"':
-            sl, sc = line, col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and source[i] != '"':
-                ch = source[i]
-                if ch == "\\" and i + 1 < n:
-                    nxt = source[i + 1]
-                    buf.append(_STR_ESCAPES.get(nxt, "\\" + nxt))
-                    bump(ch)
-                    bump(nxt)
-                    i += 2
-                else:
-                    buf.append(ch)
-                    bump(ch)
-                    i += 1
-            if i >= n:
-                raise UnterminatedString("unterminated string literal", filename, sl, sc)
-            i += 1
-            col += 1
-            toks.append(Token("string", "".join(buf), sl, sc))
-        elif c == "{":
-            sl, sc = line, col
+    append = toks.append
+    match = _TOKEN_RE.match
+    pos = 0
+    line, line_start, counted = 1, 0, 0  # newlines are counted up to `counted`
+    while True:
+        m = match(source, pos)
+        group = m.lastindex
+        if group is None:  # end of input
+            return toks
+        start, pos = m.span(group)
+        newlines = source.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", counted, start) + 1
+        counted = start
+        col = start - line_start + 1
+        text = source[start:pos]
+        if group == 1:
+            append(Token(text, text, line, col))
+        elif group == 2:
+            text = text[1:-1]
+            if "\\" in text:
+                text = _ESCAPE_RE.sub(_unescape, text)
+            append(Token("string", text, line, col))
+        elif group < 5:
+            append(Token(_ATOM_KINDS[group], text, line, col))
+        elif text == "{":
             depth = 0
-            start = i
-            while i < n:
-                ch = source[i]
-                if ch == "{":
-                    depth += 1
-                elif ch == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                bump(ch)
-                i += 1
-            if i >= n or depth != 0:
-                raise UnterminatedBlock("unbalanced brace block", filename, sl, sc)
-            toks.append(Token("brace", source[start + 1 : i], sl, sc))
-            bump("}")
-            i += 1
-        elif c == "}":
-            raise UnbalancedParen("unmatched '}'", filename, line, col)
+            for brace in _BRACE_RE.finditer(source, start):
+                depth += 1 if brace.group() == "{" else -1
+                if depth == 0:
+                    break
+            else:
+                raise UnterminatedBlock("unbalanced brace block", filename, line, col)
+            pos = brace.end()
+            append(Token("brace", source[start + 1 : pos - 1], line, col))
         else:
-            sl, sc = line, col
-            start = i
-            while i < n and source[i] not in _ATOM_END:
-                bump(source[i])
-                i += 1
-            text = source[start:i]
-            kind = "int" if _INT_RE.fullmatch(text) else "symbol"
-            toks.append(Token(kind, text, sl, sc))
-    return toks
+            cls, msg = _STRAY[text]
+            raise cls(msg, filename, line, col)
 
 
 # ---------------------------------------------------------------------------
@@ -265,19 +243,8 @@ def parse_one(source: str, filename: str | None = None) -> SExpr:
 
 
 def _escape_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return (s.replace("\\", "\\\\").replace('"', '\\"')
+             .replace("\n", "\\n").replace("\t", "\\t"))
 
 
 def serialize(e: SExpr) -> str:

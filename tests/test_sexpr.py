@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdpattern import sexpr
 from mdpattern.sexpr import (BraceBlock, Integer, SList, StringLit, SVector,
@@ -160,3 +160,163 @@ def test_serialize_parse_roundtrip(e):
 @given(_expr)
 def test_serialize_is_stable(e):
     assert serialize(parse_one(serialize(e))) == serialize(e)
+
+
+# ---------------------------------------------------------------------------
+# Property: the one-match-per-token lexer agrees with a per-character one
+
+_REF_INT_RE = re.compile(r"-?\d+")
+_REF_ATOM_END = set(" \t\r\n\f\v()[]{};\"")
+_REF_STR_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+
+def reference_tokenize(source, filename=None):
+    """The lexer as a loop over characters, kept as an oracle."""
+    toks = []
+    i, n = 0, len(source)
+    line, col = 1, 1
+
+    def bump(ch):
+        nonlocal line, col
+        if ch == "\n":
+            line += 1
+            col = 1
+        else:
+            col += 1
+
+    while i < n:
+        c = source[i]
+        if c in " \t\r\n\f\v":
+            bump(c)
+            i += 1
+        elif c == ";":
+            while i < n and source[i] != "\n":
+                bump(source[i])
+                i += 1
+        elif c == "/" and source.startswith("/*", i):
+            sl, sc = line, col
+            i += 2
+            col += 2
+            while i < n and not source.startswith("*/", i):
+                bump(source[i])
+                i += 1
+            if i >= n:
+                raise sexpr.UnterminatedComment("unterminated block comment", filename, sl, sc)
+            i += 2
+            col += 2
+        elif c in "()[]":
+            toks.append((c, c, line, col))
+            i += 1
+            col += 1
+        elif c == '"':
+            sl, sc = line, col
+            i += 1
+            col += 1
+            buf = []
+            while i < n and source[i] != '"':
+                ch = source[i]
+                if ch == "\\" and i + 1 < n:
+                    nxt = source[i + 1]
+                    buf.append(_REF_STR_ESCAPES.get(nxt, "\\" + nxt))
+                    bump(ch)
+                    bump(nxt)
+                    i += 2
+                else:
+                    buf.append(ch)
+                    bump(ch)
+                    i += 1
+            if i >= n:
+                raise sexpr.UnterminatedString("unterminated string literal", filename, sl, sc)
+            i += 1
+            col += 1
+            toks.append(("string", "".join(buf), sl, sc))
+        elif c == "{":
+            sl, sc = line, col
+            depth = 0
+            start = i
+            while i < n:
+                ch = source[i]
+                if ch == "{":
+                    depth += 1
+                elif ch == "}":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                bump(ch)
+                i += 1
+            if i >= n or depth != 0:
+                raise sexpr.UnterminatedBlock("unbalanced brace block", filename, sl, sc)
+            toks.append(("brace", source[start + 1 : i], sl, sc))
+            bump("}")
+            i += 1
+        elif c == "}":
+            raise sexpr.UnbalancedParen("unmatched '}'", filename, line, col)
+        else:
+            sl, sc = line, col
+            start = i
+            while i < n and source[i] not in _REF_ATOM_END:
+                bump(source[i])
+                i += 1
+            text = source[start:i]
+            kind = "int" if _REF_INT_RE.fullmatch(text) else "symbol"
+            toks.append((kind, text, sl, sc))
+    return toks
+
+
+def _lex_outcome(lexer, source):
+    """The token tuples, or the error's class, message and location."""
+    try:
+        return [tuple(t) for t in lexer(source, "t.md")]
+    except sexpr.SExprError as exc:
+        return (type(exc), exc.msg, exc.filename, exc.line, exc.col)
+
+
+_LEX_ALPHABET = '()[]{};"\\/*-01a: \t\r\n'
+
+
+@settings(max_examples=3000)
+@given(st.text(alphabet=_LEX_ALPHABET, max_size=25))
+@example('"never closed')
+@example('(a\n  "x\\')
+@example("x\n  /* no end */")
+@example("a\r\n /* no end")
+@example("(a)\n\t} b")
+@example("{ open\n { brace }")
+@example('a/b x*/ - 12abc -7 /*c*/-7 "a\\q\\"\n" { "}" }}')
+@example("a;/* not a comment\n;\n/* ; \" ( */b")
+@example("\u0663 -\u0663 \x1c\xa0 \f\v")  # non-ASCII digits; space only by the list
+def test_tokenize_matches_per_character_reference(source):
+    assert _lex_outcome(tokenize, source) == _lex_outcome(reference_tokenize, source)
+
+
+@pytest.mark.parametrize("source,error,line,col,msg", [
+    ('(a\n  "x', sexpr.UnterminatedString, 2, 3, "unterminated string literal"),
+    ('"x\\"', sexpr.UnterminatedString, 1, 1, "unterminated string literal"),
+    ("a\n\t/* x *", sexpr.UnterminatedComment, 2, 2, "unterminated block comment"),
+    ("/*/", sexpr.UnterminatedComment, 1, 1, "unterminated block comment"),
+    ("\r\n  { {x}", sexpr.UnterminatedBlock, 2, 3, "unbalanced brace block"),
+    ('x "\n" }', sexpr.UnbalancedParen, 2, 3, "unmatched '}'"),
+])
+def test_lex_error_locations(source, error, line, col, msg):
+    with pytest.raises(error) as ei:
+        tokenize(source, "t.md")
+    assert (ei.value.line, ei.value.col, ei.value.msg) == (line, col, msg)
+    assert _lex_outcome(reference_tokenize, source) == (error, msg, "t.md", line, col)
+
+
+def test_columns_count_characters():
+    toks = tokenize('\t(a\r\n\t"x\ny" \fb)')
+    assert [(t.kind, t.line, t.col) for t in toks] == [
+        ("(", 1, 2), ("symbol", 1, 3), ("string", 2, 2), ("symbol", 3, 5), (")", 3, 6)]
+
+
+def _reference_escape(s):
+    out = []
+    for ch in s:
+        out.append({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}.get(ch, ch))
+    return "".join(out)
+
+
+@given(st.text(alphabet='\\"\n\ta \r', max_size=20) | st.text(max_size=20))
+def test_escape_string_matches_per_character_reference(s):
+    assert sexpr._escape_string(s) == _reference_escape(s)
