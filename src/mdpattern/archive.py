@@ -217,12 +217,10 @@ def recombine(store: PatternStore, bindings) -> list[RegeneratedForm]:
     return out
 
 
-def normalize_ws(text: str) -> str:
-    """Collapse whitespace runs; trim spaces next to parens/brackets."""
-    text = re.sub(r"\s+", " ", text.strip())
-    text = re.sub(r"([(\[]) ", r"\1", text)
-    text = re.sub(r" ([)\]])", r"\1", text)
-    return text
+def template_tokens(text: str) -> list:
+    """The (kind, value) of each token: layout and comments do not count,
+    and every string literal is compared by its decoded characters."""
+    return [tok[:2] for tok in sexpr.tokenize(text)]
 
 
 def verify_roundtrip(analysis: MdAnalysis) -> tuple[int, int, int]:
@@ -234,8 +232,8 @@ def verify_roundtrip(analysis: MdAnalysis) -> tuple[int, int, int]:
         write_pattern_file(analysis), write_param_file(analysis)
     )
     regen = recombine(store, bindings)
-    orig = [normalize_ws(t) for t in analysis.source_texts]
-    got = [normalize_ws(r.template_text) for r in regen]
+    orig = [template_tokens(t) for t in analysis.source_texts]
+    got = [template_tokens(r.template_text) for r in regen]
     changed = sum(1 for o, g in zip(orig, got) if o != g)
     missing = max(0, len(orig) - len(got))
     extra = max(0, len(got) - len(orig))

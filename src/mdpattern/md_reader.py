@@ -24,9 +24,15 @@ class MdReaderError(Exception):
 
 
 class MissingInclude(MdReaderError):
-    def __init__(self, path):
+    """An include form whose file is missing, or that names no file."""
+
+    def __init__(self, path, origin: Loc | None = None):
         self.path = path
-        super().__init__("included file not found: %s" % path)
+        self.origin = origin
+        where = ""
+        if origin is not None:
+            where = "%s:%d:%d: " % (origin.filename or "<input>", origin.line, origin.col)
+        super().__init__("%sincluded file not found: %s" % (where, path))
 
 
 class IncludeCycle(MdReaderError):
@@ -90,7 +96,7 @@ def _include_target(form: TopLevelForm) -> str:
     for item in form.body.items[1:]:
         if isinstance(item, StringLit):
             return item.text
-    raise MissingInclude("<missing path argument>")
+    raise MissingInclude("<missing path argument>", form.origin)
 
 
 def resolve_includes(forms, base_dir, enabled=True,
@@ -114,7 +120,7 @@ def resolve_includes(forms, base_dir, enabled=True,
         if path in _stack:
             raise IncludeCycle(_stack + [path])
         if not os.path.isfile(path):
-            raise MissingInclude(path)
+            raise MissingInclude(path, form.origin)
         with open(path, "r", encoding="latin-1") as fh:
             sub = parse_md(fh.read(), path, considered_heads)
         out.extend(resolve_includes(sub, os.path.dirname(path), enabled,

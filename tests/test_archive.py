@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import DATA, analyze_file, random_corpus
 from mdpattern import archive, md_reader, pattern, similarity
 from mdpattern.archive import (BadHeader, DanglingPatternId, MalformedEntry,
-                               PatternFile, escape_value, merge, normalize_ws,
-                               read_archives, read_pattern_file, recombine,
-                               render_pattern_file, unescape_value,
+                               PatternFile, escape_value, merge, read_archives,
+                               read_pattern_file, recombine, render_pattern_file,
+                               template_tokens, unescape_value,
                                verify_roundtrip, write_param_file,
                                write_pattern_file)
 from mdpattern.pattern import ArityMismatch
@@ -174,7 +174,7 @@ def test_recombine_fig2_arm(fig2):
     assert len(forms) == 1
     assert forms[0].form_kind == "define_expand"
     assert forms[0].form_name == "addsi3"
-    assert normalize_ws(forms[0].template_text) == normalize_ws(arm.source_texts[0])
+    assert template_tokens(forms[0].template_text) == template_tokens(arm.source_texts[0])
 
 
 def test_recombine_zero_bindings(alpha):
@@ -203,9 +203,25 @@ def test_verify_detects_corruption(alpha):
         for n, v in bindings[4].assignments
     ]
     regen = recombine(store, bindings)
-    orig = [normalize_ws(t) for t in alpha.source_texts]
-    got = [normalize_ws(r.template_text) for r in regen]
+    orig = [template_tokens(t) for t in alpha.source_texts]
+    got = [template_tokens(r.template_text) for r in regen]
     assert sum(1 for o, g in zip(orig, got) if o != g) == 1
+
+
+def test_verify_compares_string_literals_exactly(table, monkeypatch):
+    source = ('(define_insn "a" [(set (match_operand:SI 0 "reg  op" "=r") (reg:SI 1))] "" "")\n'
+              '(define_insn "b" [(set (reg:SI 2) (const_string "x y"))] "" "")\n')
+    a = pattern.analyze(md_reader.parse_md(source), table, "ws")
+    assert verify_roundtrip(a) == (0, 0, 0)
+    real = archive.recombine
+
+    def collapse_inner_space(store, bindings):
+        forms = real(store, bindings)
+        forms[0].template_text = forms[0].template_text.replace('"reg  op"', '"reg op"')
+        return forms
+
+    monkeypatch.setattr(archive, "recombine", collapse_inner_space)
+    assert verify_roundtrip(a) == (0, 0, 1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -148,8 +148,8 @@ def test_verify_failure_exit_code(tmp_path, capsys):
         (tmp_path / "alpha.patterns").read_text(), text
     )
     regen = archive.recombine(store, bindings)
-    orig = [archive.normalize_ws(t) for t in a.source_texts]
-    got = [archive.normalize_ws(r.template_text) for r in regen]
+    orig = [archive.template_tokens(t) for t in a.source_texts]
+    got = [archive.template_tokens(r.template_text) for r in regen]
     assert sum(1 for o, g in zip(orig, got) if o != g) == 1
 
 
@@ -242,6 +242,22 @@ def test_empty_mode_keeps_its_colon(tmp_path, capsys):
     assert "\n  [(set (reg: 0) (plus: (reg:SI 1) (reg:SI 2)))]\n" in out
     code, out, _ = run(capsys, "verify", "--manifest", manifest)
     assert (code, out) == (EXIT_OK, "one: 0 missing / 0 extra / 0 changed\n")
+
+
+@pytest.mark.parametrize("include,missing", [
+    ('(include "nope.md")', "nope.md"),
+    ("(include)", "<missing path argument>"),
+])
+def test_include_errors_name_the_include_form(tmp_path, capsys, include, missing):
+    md = tmp_path / "x.md"
+    md.write_text('(define_insn "a" [(set b c)] "" "")\n  %s\n' % include)
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("x = x.md\n")
+    code, out, err = run(capsys, "stats", "--manifest", str(manifest))
+    assert (code, out) == (EXIT_PARSE, "")
+    if missing == "nope.md":
+        missing = str(tmp_path / "nope.md")
+    assert err == "mdpattern: x: %s:2:3: included file not found: %s\n" % (md, missing)
 
 
 def test_usage_error_exit_code(capsys):

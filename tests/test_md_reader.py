@@ -142,6 +142,45 @@ def test_missing_include(tmp_path):
         load_md_file(str(root))
 
 
+def test_missing_include_names_the_include_form(tmp_path):
+    (tmp_path / "sub").mkdir()
+    _write(tmp_path, "sub/mid.md", ';; mid\n  (include "nope.md")\n')
+    root = _write(tmp_path, "root.md", '(include "sub/mid.md")\n')
+    with pytest.raises(MissingInclude) as ei:
+        load_md_file(str(root))
+    mid = str(tmp_path / "sub" / "mid.md")
+    assert ei.value.origin == sexpr.Loc(mid, 2, 3)
+    assert ei.value.path == str(tmp_path / "sub" / "nope.md")
+    assert str(ei.value) == "%s:2:3: included file not found: %s" % (mid, ei.value.path)
+
+
+def test_include_without_path_names_the_include_form(tmp_path):
+    root = _write(tmp_path, "root.md", '(define_insn "x" [(set a b)] "" "")\n\t(include)\n')
+    with pytest.raises(MissingInclude) as ei:
+        load_md_file(str(root))
+    assert str(ei.value) == (
+        "%s:2:2: included file not found: <missing path argument>" % root)
+
+
+def test_each_file_is_tokenized_once(tmp_path, monkeypatch):
+    # the benchmark times sexpr.tokenize by wrapping this module attribute
+    calls = []
+    tokenize = sexpr.tokenize
+    monkeypatch.setattr(sexpr, "tokenize",
+                        lambda source, filename=None: calls.append(filename)
+                        or tokenize(source, filename))
+    sexpr.parse_text("(a)", "one.md")
+    assert calls == ["one.md"]
+    (tmp_path / "sub").mkdir()
+    _write(tmp_path, "sub/leaf.md", SUB)
+    _write(tmp_path, "sub/mid.md", '(include "leaf.md")\n' + SUB)
+    root = _write(tmp_path, "root.md", '(include "sub/mid.md")\n(include "sub/leaf.md")\n')
+    del calls[:]
+    load_md_file(str(root))
+    leaf, mid = str(tmp_path / "sub" / "leaf.md"), str(tmp_path / "sub" / "mid.md")
+    assert calls == [str(root), mid, leaf, leaf]
+
+
 def test_nested_include_relative_to_parent(tmp_path):
     sub = tmp_path / "sub"
     sub.mkdir()
