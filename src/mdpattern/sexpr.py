@@ -75,7 +75,7 @@ _TOKEN_RE = re.compile(
     + r"(?:([()\[\]])"  # 1: punctuation
     + r'|("[^"\\]*(?:\\.[^"\\]*)*")'  # 2: string
     + r"|(-?\d+)(?!{a})".format(a=_ATOM_CHAR)  # 3: an integer that is a whole atom
-    + r"|((?!/\*){a}+)".format(a=_ATOM_CHAR)  # 4: symbol
+    + r"|((?!/\*){a}+)".format(a=_ATOM_CHAR)  # 4: symbol, unless '/*' opens a comment
     + r"|(.)"  # 5: '{' opens a brace block; '"', '/' or '}' is an error
     + r"|\Z)",
     re.S,

@@ -166,9 +166,12 @@ def test_each_file_is_tokenized_once(tmp_path, monkeypatch):
     # the benchmark times sexpr.tokenize by wrapping this module attribute
     calls = []
     tokenize = sexpr.tokenize
-    monkeypatch.setattr(sexpr, "tokenize",
-                        lambda source, filename=None: calls.append(filename)
-                        or tokenize(source, filename))
+
+    def counting_tokenize(source, filename=None):
+        calls.append(filename)
+        return tokenize(source, filename)
+
+    monkeypatch.setattr(sexpr, "tokenize", counting_tokenize)
     sexpr.parse_text("(a)", "one.md")
     assert calls == ["one.md"]
     (tmp_path / "sub").mkdir()
