@@ -245,7 +245,7 @@ def test_empty_mode_keeps_its_colon(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("include,missing", [
-    ('(include "nope.md")', "nope.md"),
+    ('(include "nope.md")', "{dir}/nope.md"),
     ("(include)", "<missing path argument>"),
 ])
 def test_include_errors_name_the_include_form(tmp_path, capsys, include, missing):
@@ -255,8 +255,7 @@ def test_include_errors_name_the_include_form(tmp_path, capsys, include, missing
     manifest.write_text("x = x.md\n")
     code, out, err = run(capsys, "stats", "--manifest", str(manifest))
     assert (code, out) == (EXIT_PARSE, "")
-    if missing == "nope.md":
-        missing = str(tmp_path / "nope.md")
+    missing = missing.format(dir=tmp_path)
     assert err == "mdpattern: x: %s:2:3: included file not found: %s\n" % (md, missing)
 
 
