@@ -8,14 +8,14 @@ and is kept in its single-space rendering.
 
 Parameter file: one record per analyzed expression,
 ``<pattern-id> <form-kind> <form-name> $p=<value> ...`` with values
-percent-escaped so a record stays on one line.
+percent-escaped so a record stays on one line: ``%``, space, tab and
+every character that ``str.splitlines`` breaks at are written as the
+``%XX`` of their UTF-8 bytes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from urllib.parse import unquote
 
 from . import sexpr
 from .pattern import MdAnalysis, ParamBinding, PatternStore, RtlPattern, substitute
@@ -44,22 +44,36 @@ class DanglingPatternId(ArchiveError):
                          % (pattern_id, where))
 
 
+#: '%', space, tab and the line breakers of str.splitlines, each mapped
+#: to the %XX of its UTF-8 bytes.
+_ESCAPES = {ord(c): "".join("%%%02X" % b for b in c.encode())
+            for c in "% \t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"}
+_PERCENT_RUN_RE = re.compile(r"(?:%[0-9A-Fa-f]{2})+")
+
+
 def escape_value(s: str) -> str:
-    """Reversible escaping for space, %, newline and tab."""
-    return (s.replace("%", "%25").replace(" ", "%20")
-             .replace("\n", "%0A").replace("\t", "%09"))
+    """Reversible escaping that keeps a value one field of one line."""
+    if s.isprintable():  # then only '%' and space need escaping
+        return s.replace("%", "%25").replace(" ", "%20")
+    return s.translate(_ESCAPES)
+
+
+def _decode_run(m):
+    return bytes.fromhex(m.group().replace("%", "")).decode("utf-8", "replace")
 
 
 def unescape_value(s: str) -> str:
-    return unquote(s)
+    """Decode each run of %XX as UTF-8, as urllib.parse.unquote does: an
+    invalid byte sequence becomes U+FFFD and a malformed '%' stays as it is."""
+    return _PERCENT_RUN_RE.sub(_decode_run, s) if "%" in s else s
 
 
-@dataclass
 class PatternFile:
-    arch: str
-    total_templates: int
-    iterators: list = field(default_factory=list)
-    entries: list = field(default_factory=list)  # (id, height, count, text)
+    def __init__(self, arch: str, total_templates: int, iterators: list, entries: list):
+        self.arch = arch
+        self.total_templates = total_templates
+        self.iterators = iterators
+        self.entries = entries  # (id, height, count, text)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +204,14 @@ def read_archives(pattern_text: str, param_text: str):
 # Recombination and verification
 
 
-@dataclass
 class RegeneratedForm:
-    form_kind: str
-    form_name: str
-    template_text: str
-    form_text: str
+    __slots__ = ("form_kind", "form_name", "template_text", "form_text")
+
+    def __init__(self, form_kind: str, form_name: str, template_text: str, form_text: str):
+        self.form_kind = form_kind
+        self.form_name = form_name
+        self.template_text = template_text
+        self.form_text = form_text
 
 
 def recombine(store: PatternStore, bindings) -> list[RegeneratedForm]:

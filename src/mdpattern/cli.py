@@ -4,18 +4,17 @@
 
 Exit codes: 0 success, 1 usage error, 2 parse failure, 3 verification
 failure.
+
+Every command is a process of its own, so each subcommand imports only the
+layers it uses.  Layer functions are called through their module, so a
+patched module attribute takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-
-from . import archive, md_reader, pattern, rtl, similarity
-from .manifest import ManifestEntry, ManifestError, load_manifest
-from .sexpr import SExprError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,12 +36,11 @@ class CliError(Exception):
 
 
 def _apply_overrides(entries, args):
-    if getattr(args, "no_includes", False):
+    if args.no_includes:
         for e in entries:
             e.resolve_includes = False
-    heads = getattr(args, "heads", None)
-    if heads:
-        head_set = frozenset(h for h in heads.split(",") if h)
+    if args.heads:
+        head_set = frozenset(h for h in args.heads.split(",") if h)
         if not head_set:
             raise CliError("--heads needs a non-empty list")
         for e in entries:
@@ -50,24 +48,30 @@ def _apply_overrides(entries, args):
     return entries
 
 
-def _analyze_entry(entry: ManifestEntry, table, args):
-    try:
-        forms = md_reader.load_md_file(entry.path, entry.resolve_includes,
-                                       entry.considered_heads)
-        return pattern.analyze(
-            forms, table, entry.name,
-            include_bin_arith=not getattr(args, "no_bin_arith", False),
-            count_subpatterns=getattr(args, "count_subpatterns", False),
-        )
-    except (OSError, md_reader.MdReaderError, SExprError) as exc:
-        raise CliError("%s: %s" % (entry.name, exc), EXIT_PARSE)
+def _analyze_manifest(args, names=None):
+    """Analyze the named architectures of --manifest (all by default)."""
+    from . import md_reader, pattern, rtl
+    from .sexpr import SExprError
 
-
-def _analyze_manifest(entries, table, args):
-    return [_analyze_entry(e, table, args) for e in entries]
+    table = rtl.RtxCodeTable.load()
+    analyses = []
+    for entry in _load_entries(args, names):
+        try:
+            forms = md_reader.load_md_file(entry.path, entry.resolve_includes,
+                                           entry.considered_heads)
+            analyses.append(pattern.analyze(
+                forms, table, entry.name,
+                include_bin_arith=not args.no_bin_arith,
+                count_subpatterns=args.count_subpatterns,
+            ))
+        except (OSError, md_reader.MdReaderError, SExprError) as exc:
+            raise CliError("%s: %s" % (entry.name, exc), EXIT_PARSE)
+    return analyses
 
 
 def _load_entries(args, names=None):
+    from .manifest import ManifestError, load_manifest
+
     try:
         entries = load_manifest(args.manifest)
     except (OSError, ManifestError) as exc:
@@ -80,6 +84,12 @@ def _load_entries(args, names=None):
             raise CliError("not in manifest: %s" % ", ".join(missing))
         entries = [by_name[n] for n in names]
     return entries
+
+
+def _emit_json(data, out):
+    import json
+
+    _emit(json.dumps(data, indent=2) + "\n", out)
 
 
 def _emit(text, out):
@@ -104,8 +114,7 @@ def _fmt_table(headers, rows):
 
 
 def cmd_stats(args):
-    table = rtl.RtxCodeTable.load()
-    analyses = _analyze_manifest(_load_entries(args), table, args)
+    analyses = _analyze_manifest(args)
     rows = []
     data = []
     for a in analyses:
@@ -119,16 +128,16 @@ def cmd_stats(args):
             item["unknown_codes"] = a.diagnostics["unknown_codes"]
         data.append(item)
     if args.format == "json":
-        _emit(json.dumps({"table": "stats", "rows": data}, indent=2) + "\n", args.out)
+        _emit_json({"table": "stats", "rows": data}, args.out)
     else:
         _emit(_fmt_table(["Arch", "Expr (E)", "Patterns (P)", "E/P"], rows), args.out)
     return EXIT_OK
 
 
 def cmd_extract(args):
-    table = rtl.RtxCodeTable.load()
-    entries = _load_entries(args, [args.arch])
-    analysis = _analyze_manifest(entries, table, args)[0]
+    from . import archive
+
+    analysis = _analyze_manifest(args, [args.arch])[0]
     os.makedirs(args.out_dir, exist_ok=True)
     ppath = os.path.join(args.out_dir, "%s.patterns" % analysis.arch_name)
     mpath = os.path.join(args.out_dir, "%s.params" % analysis.arch_name)
@@ -141,9 +150,9 @@ def cmd_extract(args):
 
 
 def cmd_compare(args):
-    table = rtl.RtxCodeTable.load()
-    entries = _load_entries(args, [args.arch_a, args.arch_b])
-    a, b = _analyze_manifest(entries, table, args)
+    from . import similarity
+
+    a, b = _analyze_manifest(args, [args.arch_a, args.arch_b])
     rep = similarity.expression_similarity(a, b, args.expand_iterators)
     cov_ab = similarity.target_coverage(a, b, args.expand_iterators)
     cov_ba = similarity.target_coverage(b, a, args.expand_iterators)
@@ -159,7 +168,7 @@ def cmd_compare(args):
         "coverage_b_to_a": {"covered": cov_ba[0], "pct": round(cov_ba[1], 2)},
     }
     if args.format == "json":
-        _emit(json.dumps(data, indent=2) + "\n", args.out)
+        _emit_json(data, args.out)
     else:
         lines = [
             "%s vs %s" % (rep.arch_a, rep.arch_b),
@@ -177,8 +186,9 @@ def cmd_compare(args):
 
 
 def cmd_matrix(args):
-    table = rtl.RtxCodeTable.load()
-    analyses = _analyze_manifest(_load_entries(args), table, args)
+    from . import similarity
+
+    analyses = _analyze_manifest(args)
     if len(analyses) < 2:
         raise CliError("matrix needs at least two architectures")
     rep = similarity.similarity_matrix(analyses, args.metric, args.expand_iterators)
@@ -191,7 +201,7 @@ def cmd_matrix(args):
                 for c in rep.cells
             ],
         }
-        _emit(json.dumps(data, indent=2) + "\n", args.out)
+        _emit_json(data, args.out)
     else:
         rows = [[c.row, c.col, str(c.count), "%.2f" % c.pct] for c in rep.cells]
         head = ["Source", "Target"] if rep.metric == "coverage" else ["Arch A", "Arch B"]
@@ -200,6 +210,9 @@ def cmd_matrix(args):
 
 
 def cmd_recombine(args):
+    from . import archive
+    from .pattern import PatternError
+
     try:
         with open(args.patterns, "r", encoding="utf-8") as fh:
             ptext = fh.read()
@@ -207,13 +220,15 @@ def cmd_recombine(args):
             mtext = fh.read()
         store, bindings, _ = archive.read_archives(ptext, mtext)
         forms = archive.recombine(store, bindings)
-    except (OSError, archive.ArchiveError, pattern.PatternError) as exc:
+    except (OSError, archive.ArchiveError, PatternError) as exc:
         raise CliError(str(exc), EXIT_PARSE)
     _emit("\n\n".join(f.form_text for f in forms) + ("\n" if forms else ""), args.out)
     return EXIT_OK
 
 
 def cmd_merge(args):
+    from . import archive
+
     try:
         pfiles = []
         for path in args.patterns:
@@ -227,12 +242,16 @@ def cmd_merge(args):
 
 
 def cmd_verify(args):
-    table = rtl.RtxCodeTable.load()
-    entries = _load_entries(args, args.archs or None)
-    analyses = _analyze_manifest(entries, table, args)
+    from . import archive
+    from .pattern import PatternError
+
+    analyses = _analyze_manifest(args, args.archs or None)
     failed = False
     for a in analyses:
-        missing, extra, changed = archive.verify_roundtrip(a)
+        try:
+            missing, extra, changed = archive.verify_roundtrip(a)
+        except (archive.ArchiveError, PatternError) as exc:
+            raise CliError("%s: %s" % (a.arch_name, exc), EXIT_PARSE)
         ok = missing == extra == changed == 0
         failed = failed or not ok
         print("%s: %d missing / %d extra / %d changed%s"

@@ -7,7 +7,6 @@ a comment; paths are resolved relative to the manifest file.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .md_reader import DEFAULT_CONSIDERED_HEADS
 
@@ -16,12 +15,13 @@ class ManifestError(Exception):
     pass
 
 
-@dataclass
 class ManifestEntry:
-    name: str
-    path: str
-    resolve_includes: bool = True
-    considered_heads: frozenset = DEFAULT_CONSIDERED_HEADS
+    def __init__(self, name: str, path: str, resolve_includes: bool = True,
+                 considered_heads: frozenset = DEFAULT_CONSIDERED_HEADS):
+        self.name = name
+        self.path = path
+        self.resolve_includes = resolve_includes
+        self.considered_heads = considered_heads
 
 
 def parse_manifest(text: str, base_dir: str = ".") -> list[ManifestEntry]:

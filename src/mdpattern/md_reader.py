@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field
 
 from . import sexpr
 from .sexpr import Loc, SList, StringLit, SVector, Symbol
@@ -23,22 +22,30 @@ class MdReaderError(Exception):
     pass
 
 
+def _where(origin: Loc | None) -> str:
+    """The ``file:line:col: `` prefix of an include form's error."""
+    if origin is None:
+        return ""
+    return "%s:%d:%d: " % (origin.filename or "<input>", origin.line, origin.col)
+
+
 class MissingInclude(MdReaderError):
     """An include form whose file is missing, or that names no file."""
 
     def __init__(self, path, origin: Loc | None = None):
         self.path = path
         self.origin = origin
-        where = ""
-        if origin is not None:
-            where = "%s:%d:%d: " % (origin.filename or "<input>", origin.line, origin.col)
-        super().__init__("%sincluded file not found: %s" % (where, path))
+        super().__init__("%sincluded file not found: %s" % (_where(origin), path))
 
 
 class IncludeCycle(MdReaderError):
-    def __init__(self, chain):
+    """An include form that names a file already being read; the chain runs
+    from the root file to that file."""
+
+    def __init__(self, chain, origin: Loc | None = None):
         self.chain = list(chain)
-        super().__init__("include cycle: %s" % " -> ".join(self.chain))
+        self.origin = origin
+        super().__init__("%sinclude cycle: %s" % (_where(origin), " -> ".join(self.chain)))
 
 
 class MissingTemplateVector(MdReaderError):
@@ -52,13 +59,16 @@ class FormKind(enum.Enum):
     IGNORED = "ignored"
 
 
-@dataclass
 class TopLevelForm:
-    kind: FormKind
-    head: str
-    name: str  # first string argument of the define, '' if absent
-    body: SList
-    origin: Loc | None = field(default=None, compare=False)
+    __slots__ = ("kind", "head", "name", "body", "origin")
+
+    def __init__(self, kind: FormKind, head: str, name: str, body: SList,
+                 origin: Loc | None = None):
+        self.kind = kind
+        self.head = head
+        self.name = name  # first string argument of the define, '' if absent
+        self.body = body
+        self.origin = origin
 
 
 def classify(body: SList, considered_heads=DEFAULT_CONSIDERED_HEADS) -> TopLevelForm:
@@ -118,7 +128,7 @@ def resolve_includes(forms, base_dir, enabled=True,
             continue
         path = os.path.normpath(os.path.join(base_dir, _include_target(form)))
         if path in _stack:
-            raise IncludeCycle(_stack + [path])
+            raise IncludeCycle(_stack + [path], form.origin)
         if not os.path.isfile(path):
             raise MissingInclude(path, form.origin)
         with open(path, "r", encoding="latin-1") as fh:

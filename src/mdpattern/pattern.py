@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import md_reader, rtl, sexpr
 from .md_reader import FormKind, MissingTemplateVector
@@ -26,19 +25,24 @@ class ArityMismatch(PatternError):
     """Binding parameters do not line up with the pattern's holes."""
 
 
-@dataclass
 class RtlPattern:
-    canonical_text: str
-    height: int
+    __slots__ = ("canonical_text", "height")
+
+    def __init__(self, canonical_text: str, height: int):
+        self.canonical_text = canonical_text
+        self.height = height
 
 
-@dataclass
 class ParamBinding:
-    pattern_id: int
-    assignments: list  # ordered (param name text, verbatim replaced text)
-    form_kind: str  # define_* head of the originating form
-    form_name: str
-    origin: str = ""
+    __slots__ = ("pattern_id", "assignments", "form_kind", "form_name", "origin")
+
+    def __init__(self, pattern_id: int, assignments: list, form_kind: str,
+                 form_name: str, origin: str = ""):
+        self.pattern_id = pattern_id
+        self.assignments = assignments  # ordered (param name text, verbatim replaced text)
+        self.form_kind = form_kind  # define_* head of the originating form
+        self.form_name = form_name
+        self.origin = origin
 
 
 def extract_pattern(tree: RtlExpr, table: RtxCodeTable, iterators=frozenset(),
@@ -131,11 +135,13 @@ def renumber_holes(text: str) -> str:
 # Pattern store
 
 
-@dataclass
 class StoreEntry:
-    pattern_id: int
-    pattern: RtlPattern
-    count: int
+    __slots__ = ("pattern_id", "pattern", "count")
+
+    def __init__(self, pattern_id: int, pattern: RtlPattern, count: int):
+        self.pattern_id = pattern_id
+        self.pattern = pattern
+        self.count = count
 
 
 class PatternStore:
@@ -184,17 +190,21 @@ class PatternStore:
 # Whole-corpus analysis
 
 
-@dataclass
 class MdAnalysis:
-    arch_name: str
-    store: PatternStore
-    bindings: list[ParamBinding]
-    iterators: list[str]  # verbatim iterator definition forms
-    source_texts: list[str] = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
-    code_iterators: dict = field(default_factory=dict)  # name -> member codes
-    # (pattern id, expanded texts) per store entry; similarity fills it once
-    expansions: list | None = field(default=None, repr=False, compare=False)
+    def __init__(self, arch_name: str, store: PatternStore,
+                 bindings: list[ParamBinding], iterators: list[str],
+                 source_texts: list[str] | None = None, diagnostics: dict | None = None,
+                 code_iterators: dict | None = None):
+        self.arch_name = arch_name
+        self.store = store
+        self.bindings = bindings
+        self.iterators = iterators  # verbatim iterator definition forms
+        self.source_texts = [] if source_texts is None else source_texts
+        self.diagnostics = {} if diagnostics is None else diagnostics
+        # name -> member codes
+        self.code_iterators = {} if code_iterators is None else code_iterators
+        # (pattern id, expanded texts) per store entry; similarity fills it once
+        self.expansions = None
 
     @property
     def expr_count(self) -> int:

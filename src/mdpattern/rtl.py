@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field
 
 from . import sexpr
 from .sexpr import SExpr, SList, SVector, Symbol
@@ -181,7 +180,6 @@ def is_pattern_operator(code, table, iterators=frozenset(), include_bin_arith=Tr
     return cls in PATTERN_CLASSES
 
 
-@dataclass(eq=True)
 class RtlExpr:
     """One node of an RTL tree.
 
@@ -190,11 +188,16 @@ class RtlExpr:
     group (is_vector).
     """
 
-    code: str | None = None
-    mode: str | None = None  # text after ':', kept verbatim
-    children: list = field(default_factory=list)
-    payload: SExpr | None = None
-    is_vector: bool = False
+    __slots__ = ("code", "mode", "children", "payload", "is_vector")
+
+    def __init__(self, code: str | None = None, mode: str | None = None,
+                 children: list | None = None, payload: SExpr | None = None,
+                 is_vector: bool = False):
+        self.code = code
+        self.mode = mode  # text after ':', kept verbatim
+        self.children = [] if children is None else children
+        self.payload = payload
+        self.is_vector = is_vector
 
 
 def _build_arg(arg):

@@ -8,8 +8,7 @@ comments and ``/* ... */`` block comments.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 
 class SExprError(Exception):
@@ -50,18 +49,24 @@ class NestingTooDeep(SExprError):
         super().__init__("nesting too deep", loc.filename, loc.line, loc.col)
 
 
-@dataclass(frozen=True)
 class Loc:
-    filename: str | None
-    line: int
-    col: int
+    __slots__ = ("filename", "line", "col")
+
+    def __init__(self, filename: str | None, line: int, col: int):
+        self.filename = filename
+        self.line = line
+        self.col = col
+
+    def __eq__(self, other):
+        return (type(other) is Loc and self.filename == other.filename
+                and self.line == other.line and self.col == other.col)
+
+    def __repr__(self):
+        return "Loc(%r, %d, %d)" % (self.filename, self.line, self.col)
 
 
-class Token(NamedTuple):
-    kind: str  # one of '(' ')' '[' ']' 'symbol' 'int' 'string' 'brace'
-    value: str
-    line: int
-    col: int
+#: kind is one of '(' ')' '[' ']' 'symbol' 'int' 'string' 'brace'
+Token = namedtuple("Token", "kind value line col")
 
 
 # Characters that end an atom; an atom is a maximal run of the others.
@@ -145,42 +150,64 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
 
 
 class SExpr:
-    """Base class; concrete variants below.
+    """Base class; concrete variants below, each with one content field.
 
     Only top-level expressions from `parse_text` carry a source location.
+    Two expressions are equal when they are of one class and their contents
+    are equal; the location does not count.
     """
 
     loc: Loc | None = None
+    _field = ""  # name of the content field
+
+    def __eq__(self, other):
+        f = self._field
+        return type(other) is type(self) and getattr(self, f) == getattr(other, f)
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, getattr(self, self._field))
 
 
-@dataclass(eq=True)
 class Symbol(SExpr):
-    text: str
+    _field = "text"
+
+    def __init__(self, text: str):
+        self.text = text
 
 
-@dataclass(eq=True)
 class Integer(SExpr):
-    value: int
+    _field = "value"
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(eq=True)
 class StringLit(SExpr):
-    text: str
+    _field = "text"
+
+    def __init__(self, text: str):
+        self.text = text
 
 
-@dataclass(eq=True)
 class BraceBlock(SExpr):
-    text: str  # verbatim, braces balanced inside
+    _field = "text"
+
+    def __init__(self, text: str):
+        self.text = text  # verbatim, braces balanced inside
 
 
-@dataclass(eq=True)
 class SList(SExpr):
-    items: list
+    _field = "items"
+
+    def __init__(self, items: list):
+        self.items = items
 
 
-@dataclass(eq=True)
 class SVector(SExpr):
-    items: list
+    _field = "items"
+
+    def __init__(self, items: list):
+        self.items = items
 
 
 _CLOSER = {"(": ")", "[": "]"}

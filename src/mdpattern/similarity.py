@@ -7,7 +7,6 @@ patterns, and directed source-to-target coverage.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .pattern import MdAnalysis
 
@@ -24,15 +23,17 @@ class EmptyTarget(SimilarityError):
     pass
 
 
-@dataclass
 class PairReport:
-    arch_a: str
-    arch_b: str
-    common_pattern_count: int
-    pattern_similarity_pct: float
-    covered_expr_a: int
-    covered_expr_b: int
-    expression_similarity_pct: float
+    def __init__(self, arch_a: str, arch_b: str, common_pattern_count: int,
+                 pattern_similarity_pct: float, covered_expr_a: int,
+                 covered_expr_b: int, expression_similarity_pct: float):
+        self.arch_a = arch_a
+        self.arch_b = arch_b
+        self.common_pattern_count = common_pattern_count
+        self.pattern_similarity_pct = pattern_similarity_pct
+        self.covered_expr_a = covered_expr_a
+        self.covered_expr_b = covered_expr_b
+        self.expression_similarity_pct = expression_similarity_pct
 
 
 # -- formula-level helpers (unit-testable on raw counts) --------------------
@@ -176,19 +177,19 @@ def target_coverage(source: MdAnalysis, target: MdAnalysis,
     return covered, coverage_pct(covered, target.expr_count)
 
 
-@dataclass
 class MatrixCell:
-    row: str
-    col: str
-    count: int
-    pct: float
+    def __init__(self, row: str, col: str, count: int, pct: float):
+        self.row = row
+        self.col = col
+        self.count = count
+        self.pct = pct
 
 
-@dataclass
 class MatrixReport:
-    metric: str  # 'pattern' | 'expr' | 'coverage'
-    arch_names: list
-    cells: list
+    def __init__(self, metric: str, arch_names: list, cells: list):
+        self.metric = metric  # 'pattern' | 'expr' | 'coverage'
+        self.arch_names = arch_names
+        self.cells = cells
 
 
 def similarity_matrix(analyses, metric: str, expand_iterators=False) -> MatrixReport:

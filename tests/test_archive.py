@@ -1,3 +1,5 @@
+from urllib.parse import unquote
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,11 +29,36 @@ def fig2(table):
 # -- escaping ----------------------------------------------------------------
 
 
-@given(st.text(max_size=60))
+#: Every character at which str.splitlines breaks a line.
+LINE_BREAKERS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@given(st.text(max_size=60) | st.text(alphabet="% \tab" + LINE_BREAKERS, max_size=30))
 def test_escaping_is_bit_exact(s):
     enc = escape_value(s)
-    assert " " not in enc and "\n" not in enc and "\t" not in enc
+    assert " " not in enc and "\t" not in enc
+    assert len(enc.splitlines()) <= 1
     assert unescape_value(enc) == s
+
+
+def test_escaping_of_each_line_breaker():
+    assert escape_value("%  \t" + LINE_BREAKERS) == (
+        "%25%20%20%09%0A%0B%0C%0D%1C%1D%1E%C2%85%E2%80%A8%E2%80%A9")
+
+
+# unquote is the reference decoder: archives written before it was replaced
+# must read back the same
+@given(st.text(alphabet="%0123456789abcdefABCDEFz \x85\u00e9\u2028", max_size=40))
+def test_unescape_matches_unquote(s):
+    assert unescape_value(s) == unquote(s)
+
+
+@pytest.mark.parametrize("s", [
+    "", "%", "%%", "%4", "%zz", "%4g", "%C2", "%C2%", "%E2%80%A8", "%e2%80%a8",
+    "%E2%80", "%E2%80a", "%C3%A9%41", "%FF%FE", "%C2\x85", "a%20b%0A%25%2541",
+])
+def test_unescape_matches_unquote_on_malformed_input(s):
+    assert unescape_value(s) == unquote(s)
 
 
 # -- writing -----------------------------------------------------------------

@@ -259,6 +259,45 @@ def test_include_errors_name_the_include_form(tmp_path, capsys, include, missing
     assert err == "mdpattern: x: %s:2:3: included file not found: %s\n" % (md, missing)
 
 
+def test_include_cycle_is_a_parse_error(tmp_path, capsys):
+    (tmp_path / "c.md").write_text('(include "b.md")\n')
+    (tmp_path / "b.md").write_text(';; b\n  (include "c.md")\n')
+    (tmp_path / "m.txt").write_text("c = c.md\n")
+    code, out, err = run(capsys, "stats", "--manifest", str(tmp_path / "m.txt"))
+    assert (code, out) == (EXIT_PARSE, "")
+    c, b = tmp_path / "c.md", tmp_path / "b.md"
+    assert err == "mdpattern: c: %s:2:3: include cycle: %s -> %s -> %s\n" % (b, c, b, c)
+
+
+# a template string holding a character at which str.splitlines breaks
+FORM_FEED_MD = '(define_insn "ff"\n  [(set (reg:SI 0) (unspec:SI [(const_string "a\fb")] 1))]\n  "" "")\n'
+
+
+def test_form_feed_in_a_string_round_trips(tmp_path, capsys):
+    manifest = _one_form_manifest(tmp_path, FORM_FEED_MD)
+    code, out, _ = run(capsys, "verify", "--manifest", manifest)
+    assert (code, out) == (EXIT_OK, "one: 0 missing / 0 extra / 0 changed\n")
+    code, _, _ = run(capsys, "extract", "one", "--manifest", manifest,
+                     "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert "%0C" in (tmp_path / "one.params").read_text()
+    code, out, _ = run(capsys, "recombine", "--patterns", str(tmp_path / "one.patterns"),
+                       "--params", str(tmp_path / "one.params"))
+    assert code == EXIT_OK
+    assert '\n  [(set (reg:SI 0) (unspec:SI [(const_string "a\fb")] 1))]\n' in out
+
+
+def test_verify_reports_an_unreadable_archive(tmp_path, capsys, monkeypatch):
+    # an escaping that lets a form feed through breaks the parameter record
+    from mdpattern import archive
+    monkeypatch.setattr(archive, "escape_value",
+                        lambda s: s.replace("%", "%25").replace(" ", "%20"))
+    manifest = _one_form_manifest(tmp_path, FORM_FEED_MD)
+    code, out, err = run(capsys, "verify", "--manifest", manifest)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("mdpattern: one: line 2: malformed entry")
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "stats")[0] == EXIT_USAGE  # missing --manifest
     assert run(capsys, "nonsense")[0] == EXIT_USAGE

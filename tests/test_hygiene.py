@@ -1,11 +1,17 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from mdpattern.cli import main
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "mdpattern"
+SYNTH = str(Path(__file__).resolve().parent / "data" / "synth" / "manifest.txt")
 
 
 def unused_imports(source: str) -> list:
@@ -65,3 +71,76 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# -- startup cost ------------------------------------------------------------
+# Every command is a process of its own, so what the CLI imports is paid on
+# every run.
+
+#: Modules whose import chain costs more than the little they are used for.
+SLOW_IMPORTS = {"dataclasses", "typing", "urllib"}
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules a source imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_modules_detector():
+    source = ("import os, urllib.parse\nfrom . import rtl\n"
+              "def f():\n    from typing import List\n")
+    assert imported_modules(source) == {"os", "urllib", "typing"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_slow_imports(path):
+    assert imported_modules(path.read_text(encoding="utf-8")) & SLOW_IMPORTS == set()
+
+
+_PROBE = """import sys
+from mdpattern import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules
+                    if m.startswith("mdpattern.") or m in ("json", "dataclasses")))
+"""
+LAYERS = {"mdpattern." + p.stem for p in SRC.glob("*.py")} - {
+    "mdpattern.__init__", "mdpattern.__main__", "mdpattern.cli"}
+
+
+@pytest.fixture(scope="module")
+def archives(tmp_path_factory):
+    out = tmp_path_factory.mktemp("archives")
+    assert main(["extract", "alpha", "--manifest", SYNTH, "--out-dir", str(out)]) == 0
+    return out
+
+
+COMMANDS = [
+    (["--help"], LAYERS),
+    (["stats", "--manifest", SYNTH], {"mdpattern.similarity", "mdpattern.archive", "json"}),
+    (["extract", "alpha", "--manifest", SYNTH, "--out-dir", "{dir}"],
+     {"mdpattern.similarity", "json"}),
+    (["compare", "alpha", "beta", "--manifest", SYNTH], {"mdpattern.archive", "json"}),
+    (["matrix", "--manifest", SYNTH], {"mdpattern.archive", "json"}),
+    (["recombine", "--patterns", "{dir}/alpha.patterns", "--params", "{dir}/alpha.params",
+      "--out", "{dir}/alpha.md"], {"mdpattern.similarity", "mdpattern.manifest", "json"}),
+    (["merge", "{dir}/alpha.patterns", "--out", "{dir}/merged.patterns"],
+     {"mdpattern.similarity", "mdpattern.manifest", "json"}),
+    (["verify", "--manifest", SYNTH], {"mdpattern.similarity", "json"}),
+]
+
+
+@pytest.mark.parametrize("argv,not_loaded", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+def test_each_command_loads_only_its_layers(archives, argv, not_loaded):
+    argv = [a.format(dir=archives) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert set(loaded) & (not_loaded | {"dataclasses"}) == set()

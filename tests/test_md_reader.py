@@ -132,8 +132,19 @@ def test_include_disabled_passes_through(tmp_path):
 
 def test_include_cycle(tmp_path):
     root = _write(tmp_path, "self.md", '(include "self.md")\n')
-    with pytest.raises(IncludeCycle):
+    with pytest.raises(IncludeCycle) as ei:
         load_md_file(str(root))
+    assert ei.value.origin == sexpr.Loc(str(root), 1, 1)
+    assert str(ei.value) == "%s:1:1: include cycle: %s -> %s" % (root, root, root)
+
+
+def test_include_cycle_names_the_closing_include_form(tmp_path):
+    root = _write(tmp_path, "c.md", '(include "b.md")\n')
+    mid = _write(tmp_path, "b.md", ';; b\n(define_insn "x" [(set a b)] "" "")\n  (include "c.md")\n')
+    with pytest.raises(IncludeCycle) as ei:
+        load_md_file(str(root))
+    assert ei.value.chain == [str(root), str(mid), str(root)]
+    assert str(ei.value) == "%s:3:3: include cycle: %s -> %s -> %s" % (mid, root, mid, root)
 
 
 def test_missing_include(tmp_path):
