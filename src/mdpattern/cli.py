@@ -48,12 +48,15 @@ def _apply_overrides(entries, args):
     return entries
 
 
-def _analyze_manifest(args, names=None):
+def _analyze_manifest(args, names=None, count_subpatterns=False):
     """Analyze the named architectures of --manifest (all by default)."""
     from . import md_reader, pattern, rtl
     from .sexpr import SExprError
 
-    table = rtl.RtxCodeTable.load()
+    try:
+        table = rtl.RtxCodeTable.load()
+    except (OSError, rtl.RtlError) as exc:
+        raise CliError("code table: %s" % exc, EXIT_PARSE)
     analyses = []
     for entry in _load_entries(args, names):
         try:
@@ -62,7 +65,7 @@ def _analyze_manifest(args, names=None):
             analyses.append(pattern.analyze(
                 forms, table, entry.name,
                 include_bin_arith=not args.no_bin_arith,
-                count_subpatterns=args.count_subpatterns,
+                count_subpatterns=count_subpatterns,
             ))
         except (OSError, md_reader.MdReaderError, SExprError) as exc:
             raise CliError("%s: %s" % (entry.name, exc), EXIT_PARSE)
@@ -114,7 +117,7 @@ def _fmt_table(headers, rows):
 
 
 def cmd_stats(args):
-    analyses = _analyze_manifest(args)
+    analyses = _analyze_manifest(args, count_subpatterns=args.count_subpatterns)
     rows = []
     data = []
     for a in analyses:
@@ -262,16 +265,16 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, manifest=True):
-    if manifest:
-        p.add_argument("--manifest", required=True, help="corpus manifest file")
-        p.add_argument("--no-includes", action="store_true",
-                       help="do not resolve (include ...) directives")
-        p.add_argument("--heads", help="comma-separated considered define_* heads")
-        p.add_argument("--no-bin-arith", action="store_true",
-                       help="abstract non-commutative arithmetic operators too")
-        p.add_argument("--count-subpatterns", action="store_true",
-                       help="also count sub-patterns (diagnostic)")
+def _add_manifest(p):
+    p.add_argument("--manifest", required=True, help="corpus manifest file")
+    p.add_argument("--no-includes", action="store_true",
+                   help="do not resolve (include ...) directives")
+    p.add_argument("--heads", help="comma-separated considered define_* heads")
+    p.add_argument("--no-bin-arith", action="store_true",
+                   help="abstract non-commutative arithmetic operators too")
+
+
+def _add_report(p):
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report to a file instead of stdout")
 
@@ -283,28 +286,33 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="per-architecture expression/pattern counts")
-    _add_common(p)
+    _add_manifest(p)
+    p.add_argument("--count-subpatterns", action="store_true",
+                   help="also count sub-patterns (diagnostic)")
+    _add_report(p)
     p.set_defaults(func=cmd_stats)
 
     for alias in ("extract", "split"):
         p = sub.add_parser(alias, help="write pattern and parameter archives")
         p.add_argument("arch")
         p.add_argument("--out-dir", required=True)
-        _add_common(p)
+        _add_manifest(p)
         p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("compare", help="all three metrics for one pair")
     p.add_argument("arch_a")
     p.add_argument("arch_b")
     p.add_argument("--expand-iterators", action="store_true")
-    _add_common(p)
+    _add_manifest(p)
+    _add_report(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("matrix", help="all-pairs similarity matrix")
     p.add_argument("--metric", choices=("pattern", "expr", "coverage"),
                    default="pattern")
     p.add_argument("--expand-iterators", action="store_true")
-    _add_common(p)
+    _add_manifest(p)
+    _add_report(p)
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("recombine", help="regenerate MD forms from archives")
@@ -322,7 +330,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="split+recombine round-trip check")
     p.add_argument("archs", nargs="*")
-    _add_common(p)
+    _add_manifest(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

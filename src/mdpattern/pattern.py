@@ -45,14 +45,16 @@ class ParamBinding:
         self.origin = origin
 
 
-def extract_pattern(tree: RtlExpr, table: RtxCodeTable, iterators=frozenset(),
-                    include_bin_arith=True, unknown_codes: Counter | None = None):
-    """Bottom-up abstraction of one expression tree.
+def extract_pattern(tree: RtlExpr, table: RtxCodeTable, retained: frozenset,
+                    unknown_codes: Counter | None = None):
+    """Abstract one expression tree in a single walk.
 
-    Returns (RtlPattern, assignments).  Holes are numbered per kind by first
-    pre-order (= textual) occurrence, so the text is canonical; assignments
-    list the hole values in mode-then-arg order, and substituting them back
-    reproduces the expression text.
+    `retained` holds the operator codes that stay in the pattern; every
+    other subtree becomes a hole.  Returns (RtlPattern, assignments, source
+    text).  Holes are numbered per kind by first pre-order (= textual)
+    occurrence, so the text is canonical; assignments list the hole values
+    in mode-then-arg order, and substituting them back reproduces the
+    source text, the tree's single-space rendering.
     """
     arg_map: dict[str, str] = {}
     mode_map: dict[str, str] = {}
@@ -60,31 +62,39 @@ def extract_pattern(tree: RtlExpr, table: RtxCodeTable, iterators=frozenset(),
     def hole(names, kind, text):
         return names.setdefault(text, "$%s%d" % (kind, len(names)))
 
-    def walk_all(nodes):
-        parts = [walk(c) for c in nodes]
-        return [t for t, _ in parts], max((h for _, h in parts), default=0)
+    def walk_all(nodes, texts, sources):
+        # appends each node's pattern and source text; returns the max height
+        h = 0
+        for node in nodes:
+            text, source, node_h = walk(node)
+            texts.append(text)
+            sources.append(source)
+            h = max(h, node_h)
+        return h
 
     def walk(node):
-        # (pattern text, height) of one node; a hole has height 1
+        # (pattern text, source text, height) of one node; a hole has height 1
         if node.is_vector:
-            texts, h = walk_all(node.children)
-            return "[%s]" % " ".join(texts), h
-        if node.payload is None:
-            if node.code not in iterators and table.rtx_class(node.code) is None:
-                if unknown_codes is not None:
-                    unknown_codes[node.code] += 1
-            if rtl.is_pattern_operator(node.code, table, iterators, include_bin_arith):
-                head = node.code
-                if node.mode is not None:
-                    head += ":" + hole(mode_map, "mode", node.mode)
-                texts, h = walk_all(node.children)
-                return "(%s)" % " ".join([head, *texts]), 1 + h
-        return hole(arg_map, "arg", rtl_text(node)), 1
+            texts, sources = [], []
+            h = walk_all(node.children, texts, sources)
+            return "[%s]" % " ".join(texts), "[%s]" % " ".join(sources), h
+        code = node.code
+        if code in retained:
+            texts, sources = [code], [code]
+            if node.mode is not None:
+                texts[0] += ":" + hole(mode_map, "mode", node.mode)
+                sources[0] += ":" + node.mode
+            h = walk_all(node.children, texts, sources)
+            return "(%s)" % " ".join(texts), "(%s)" % " ".join(sources), 1 + h
+        if code is not None and unknown_codes is not None and table.rtx_class(code) is None:
+            unknown_codes[code] += 1
+        source = rtl_text(node)
+        return hole(arg_map, "arg", source), source, 1
 
-    text, h = walk(tree)
+    text, source, h = walk(tree)
     assignments = [(name, value) for holes in (mode_map, arg_map)
                    for value, name in holes.items()]
-    return RtlPattern(text, max(1, h)), assignments
+    return RtlPattern(text, max(1, h)), assignments, source
 
 
 # One pass over a pattern text: string literals and (unnested) brace blocks
@@ -252,6 +262,7 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True,
             count_subpatterns=False) -> MdAnalysis:
     """Run the pattern pipeline over one architecture's parsed forms."""
     iterators, verbatim, members = register_iterators(forms)
+    retained = table.retained(include_bin_arith) | iterators
     store = PatternStore()
     bindings = []
     source_texts = []
@@ -264,14 +275,11 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True,
         try:
             vec = md_reader.extract_template_vector(form)
             tree = rtl.build_template_tree(vec)
-            pattern, assignments = extract_pattern(
-                tree, table, iterators, include_bin_arith, unknown
-            )
-            source_text = rtl_text(tree)
+            pattern, assignments, source_text = extract_pattern(tree, table, retained, unknown)
         except (MissingTemplateVector, rtl.RtlError) as exc:
             skipped.append(str(exc))
             continue
-        except RecursionError:  # the tree walks recurse per nesting level
+        except RecursionError:  # tree building and the walk recurse per nesting level
             raise _too_deep(form) from None
         pid, _ = store.insert(pattern)
         bindings.append(ParamBinding(pid, assignments, form.head, form.name,

@@ -39,7 +39,7 @@ class RtxClass(enum.Enum):
 
 _BY_NAME = {c.value: c for c in RtxClass}
 
-#: Operators that change machine state; always retained in patterns.
+#: Operators that change machine state; the default table retains them.
 SIDE_EFFECT_CODES = frozenset(
     {
         "set", "return", "call", "clobber", "use", "parallel", "cond_exec",
@@ -148,12 +148,13 @@ class RtxCodeTable:
         entry = self._entries.get(code)
         return entry[0] if entry else None
 
-    def is_side_effect(self, code):
-        entry = self._entries.get(code)
-        return bool(entry and entry[1])
-
-    def codes(self):
-        return iter(self._entries)
+    def retained(self, include_bin_arith):
+        """The codes that stay in patterns: every side-effect code, whatever
+        its class, and every code of a PATTERN_CLASSES class (BIN_ARITH only
+        with include_bin_arith)."""
+        classes = PATTERN_CLASSES if include_bin_arith else PATTERN_CLASSES - {RtxClass.BIN_ARITH}
+        return frozenset(code for code, (cls, side_effect) in self._entries.items()
+                         if side_effect or cls in classes)
 
 
 #: Classes whose operators stay in patterns (machine-independent meaning).
@@ -164,20 +165,6 @@ PATTERN_CLASSES = frozenset(
         RtxClass.TERNARY, RtxClass.AUTOINC,
     }
 )
-
-
-def is_pattern_operator(code, table, iterators=frozenset(), include_bin_arith=True):
-    """True when an operator is retained in a pattern rather than abstracted."""
-    if code in iterators:
-        return True
-    if code in SIDE_EFFECT_CODES:
-        return True
-    cls = table.rtx_class(code)
-    if cls is None:
-        return False
-    if cls is RtxClass.BIN_ARITH and not include_bin_arith:
-        return False
-    return cls in PATTERN_CLASSES
 
 
 class RtlExpr:
@@ -232,21 +219,6 @@ def build_rtl_tree(s: SExpr) -> RtlExpr:
 def build_template_tree(vec: SVector) -> RtlExpr:
     """Wrap a whole template vector so multi-element templates are one tree."""
     return RtlExpr(is_vector=True, children=[_build_arg(x) for x in vec.items])
-
-
-def height(e: RtlExpr) -> int:
-    """Longest root-to-leaf node count.
-
-    Vector groups are transparent (members count as direct children) and
-    scalar argument payloads are part of their owning node, not below it.
-    """
-    if e.payload is not None:
-        return 0
-    if e.is_vector:
-        return max((height(c) for c in e.children), default=0)
-    if not e.children:
-        return 1
-    return 1 + max((height(c) for c in e.children), default=0)
 
 
 def rtl_text(e: RtlExpr) -> str:

@@ -141,7 +141,7 @@ def test_criterion_4_store_oracle_1000_seeds():
             from mdpattern.rtl import build_template_tree
 
             tree = build_template_tree(md_reader.extract_template_vector(f))
-            p, _ = pattern.extract_pattern(tree, table)
+            p, _, _ = pattern.extract_pattern(tree, table, table.retained(True))
             texts.append(p.canonical_text)
         unique = []
         for t in texts:

@@ -298,6 +298,38 @@ def test_verify_reports_an_unreadable_archive(tmp_path, capsys, monkeypatch):
     assert err.startswith("mdpattern: one: line 2: malformed entry")
 
 
+@pytest.mark.parametrize("table,message", [
+    ("plus bogus yes\n", ":1: bad code-table line: 'plus bogus yes'"),
+    (None, "No such file or directory"),
+], ids=["malformed", "missing"])
+def test_code_table_errors_are_parse_errors(tmp_path, capsys, monkeypatch, table, message):
+    path = tmp_path / "codes.txt"
+    if table is not None:
+        path.write_text(table)
+    monkeypatch.setenv("MDPATTERN_CODE_TABLE", str(path))
+    for argv in (["stats"], ["extract", "alpha", "--out-dir", str(tmp_path)],
+                 ["compare", "alpha", "beta"], ["matrix"], ["verify"]):
+        code, out, err = run(capsys, *argv, "--manifest", SYNTH)
+        assert (code, out) == (EXIT_PARSE, ""), argv
+        assert err.startswith("mdpattern: code table: ") and message in err
+        assert str(path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--format", "json"],
+    ["verify", "--out", "v.json"],
+    ["extract", "alpha", "--out-dir", "d", "--format", "json"],
+    ["compare", "alpha", "beta", "--count-subpatterns"],
+    ["matrix", "--count-subpatterns"],
+], ids=" ".join)
+def test_options_a_command_ignores_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--manifest", SYNTH)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "stats")[0] == EXIT_USAGE  # missing --manifest
     assert run(capsys, "nonsense")[0] == EXIT_USAGE

@@ -144,3 +144,34 @@ def test_each_command_loads_only_its_layers(archives, argv, not_loaded):
     code, *loaded = proc.stdout.splitlines()[-1].split()
     assert code == "0"
     assert set(loaded) & (not_loaded | {"dataclasses"}) == set()
+
+
+# -- the seams the traced bench wraps ------------------------------------------
+# mdbench/trace_shim.py times layers by patching `rtl.build_template_tree` and
+# `pattern.extract_pattern` and counts the nodes of each built tree, so
+# `analyze` must call both through their modules, once per template.
+
+
+def test_analyze_builds_and_extracts_each_template_once(monkeypatch):
+    from collections import Counter
+
+    from mdpattern import md_reader, pattern, rtl
+
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(rtl, "build_template_tree")
+    count(pattern, "extract_pattern")
+    forms = md_reader.load_md_file(str(Path(SYNTH).parent / "alpha.md"))
+    a = pattern.analyze(forms, rtl.RtxCodeTable.default(), "alpha")
+    considered = sum(f.kind is md_reader.FormKind.CONSIDERED for f in forms)
+    assert a.expr_count == considered == 50
+    assert calls == {"build_template_tree": considered, "extract_pattern": considered}

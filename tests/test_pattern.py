@@ -1,10 +1,12 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import analyze_file, random_corpus, DATA
+from test_rtl import height
 from mdpattern import md_reader, pattern, rtl, sexpr
 from mdpattern.pattern import (ArityMismatch, PatternStore, analyze,
                                extract_pattern, register_iterators,
@@ -23,9 +25,11 @@ ARM_ADD = (
 )
 
 
-def _extract(src, table, **kw):
+def _extract(src, table, iterators=frozenset(), include_bin_arith=True, unknown_codes=None):
     tree = build_rtl_tree(sexpr.parse_one(src))
-    return extract_pattern(tree, table, **kw)
+    retained = table.retained(include_bin_arith) | iterators
+    p, assigns, _ = extract_pattern(tree, table, retained, unknown_codes)
+    return p, assigns
 
 
 def test_extract_arm_add(table):
@@ -122,6 +126,96 @@ def test_no_machine_specific_nodes_remain(table):
 
     for e in a.store.entries():
         scan(sexpr.parse_one(e.pattern.canonical_text))
+
+
+def test_code_table_flag_decides_what_is_kept(tmp_path):
+    # `yes` keeps a code whatever its class; `no` leaves `set` to its class
+    p = tmp_path / "codes.txt"
+    p.write_text("frob extra yes\nset extra no\n")
+    forms = md_reader.parse_md(
+        '(define_insn "f" [(set (reg 0) (reg 1)) (frob:SI (reg:SI 1))] "" "")')
+    a = analyze(forms, RtxCodeTable.from_file(str(p)))
+    assert next(a.store.entries()).pattern.canonical_text == "[$arg0 (frob:$mode0 $arg1)]"
+
+
+# ---------------------------------------------------------------------------
+# The former extraction, kept as the reference for the one-walk extraction
+
+
+def _is_pattern_operator(code, table, iterators, include_bin_arith):
+    """The former per-node decision, with the built-in side-effect set."""
+    if code in iterators:
+        return True
+    if code in rtl.SIDE_EFFECT_CODES:
+        return True
+    cls = table.rtx_class(code)
+    if cls is None:
+        return False
+    if cls is rtl.RtxClass.BIN_ARITH and not include_bin_arith:
+        return False
+    return cls in rtl.PATTERN_CLASSES
+
+
+def _reference_extract(tree, table, iterators, include_bin_arith, unknown_codes):
+    """(pattern text, height, assignments, source text): a walk for the
+    pattern, rtl_text for each hole, and rtl_text again for the source."""
+    arg_map, mode_map = {}, {}
+
+    def hole(names, kind, text):
+        return names.setdefault(text, "$%s%d" % (kind, len(names)))
+
+    def walk_all(nodes):
+        parts = [walk(c) for c in nodes]
+        return [t for t, _ in parts], max((h for _, h in parts), default=0)
+
+    def walk(node):
+        if node.is_vector:
+            texts, h = walk_all(node.children)
+            return "[%s]" % " ".join(texts), h
+        if node.payload is None:
+            if node.code not in iterators and table.rtx_class(node.code) is None:
+                unknown_codes[node.code] += 1
+            if _is_pattern_operator(node.code, table, iterators, include_bin_arith):
+                head = node.code
+                if node.mode is not None:
+                    head += ":" + hole(mode_map, "mode", node.mode)
+                texts, h = walk_all(node.children)
+                return "(%s)" % " ".join([head, *texts]), 1 + h
+        return hole(arg_map, "arg", rtl_text(node)), 1
+
+    text, h = walk(tree)
+    assignments = [(name, value) for holes in (mode_map, arg_map)
+                   for value, name in holes.items()]
+    return text, max(1, h), assignments, rtl_text(tree)
+
+
+#: Codes of random_corpus; the side-effect codes are not dropped from the
+#: table, because the reference keeps them whatever the table says.
+_CORPUS_CODES = ["plus", "minus", "div", "eq", "lt", "neg", "sign_extend", "reg",
+                 "mem", "const_int", "match_operand"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(),
+       st.frozensets(st.sampled_from(_CORPUS_CODES)),
+       st.frozensets(st.sampled_from(_CORPUS_CODES + ["set", "parallel", "clobber"])))
+def test_one_walk_matches_reference_extraction(seed, include_bin_arith, dropped, iterators):
+    # codes dropped from the table are unknown; iterator names stay in
+    # patterns whether the table knows them or not
+    table = RtxCodeTable({code: entry for code, entry in rtl._default_entries().items()
+                          if code not in dropped})
+    retained = table.retained(include_bin_arith) | iterators
+    for f in md_reader.parse_md(random_corpus(seed, max_depth=5)):
+        if f.kind is not md_reader.FormKind.CONSIDERED:
+            continue
+        tree = build_template_tree(md_reader.extract_template_vector(f))
+        unknown, expected_unknown = Counter(), Counter()
+        p, assigns, source = extract_pattern(tree, table, retained, unknown)
+        expected = _reference_extract(tree, table, iterators, include_bin_arith,
+                                       expected_unknown)
+        assert (p.canonical_text, p.height, assigns, source) == expected
+        assert unknown == expected_unknown
+        assert source == sexpr.serialize(md_reader.extract_template_vector(f))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +389,7 @@ def test_height_monotone_under_abstraction(table):
     for b, src in zip(a.bindings, a.source_texts):
         source_tree = build_template_tree(sexpr.parse_one(src))
         entry = a.store.get(b.pattern_id)
-        assert entry.pattern.height <= max(1, rtl.height(source_tree))
+        assert entry.pattern.height <= max(1, height(source_tree))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +403,7 @@ def brute_force_unique(forms, table):
         if f.kind is not md_reader.FormKind.CONSIDERED:
             continue
         tree = build_template_tree(md_reader.extract_template_vector(f))
-        p, _ = extract_pattern(tree, table)
+        p, _, _ = extract_pattern(tree, table, table.retained(True))
         texts.append(p.canonical_text)
     unique = []
     for t in texts:  # deliberate O(n^2) pairwise comparison

@@ -2,9 +2,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdpattern import md_reader, rtl, sexpr
-from mdpattern.rtl import (PATTERN_CLASSES, SIDE_EFFECT_CODES, RtxClass,
-                           RtxCodeTable, build_rtl_tree, build_template_tree,
-                           height, is_pattern_operator, rtl_text)
+from mdpattern.rtl import (SIDE_EFFECT_CODES, RtxClass, RtxCodeTable, build_rtl_tree,
+                           build_template_tree, rtl_text)
+
+
+def height(e):
+    """Longest root-to-leaf node count of an RtlExpr tree: the reference
+    for the height that extraction computes in its walk.
+
+    Vector groups are transparent (members count as direct children) and
+    scalar argument payloads are part of their owning node, not below it.
+    """
+    if e.payload is not None:
+        return 0
+    if e.is_vector:
+        return max((height(c) for c in e.children), default=0)
+    if not e.children:
+        return 1
+    return 1 + max((height(c) for c in e.children), default=0)
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +72,10 @@ def test_side_effect_set_exact(table):
          "sequence", "asm_input", "unspec", "unspec_volatile", "addr_vec",
          "addr_diff_vec"}
     )
+    # EXTRA is not a pattern class: these stay by their side-effect flag
+    assert SIDE_EFFECT_CODES <= table.retained(False)
     for code in SIDE_EFFECT_CODES:
         assert table.rtx_class(code) is RtxClass.EXTRA
-        assert table.is_side_effect(code)
 
 
 @pytest.mark.parametrize(
@@ -79,24 +95,28 @@ def test_side_effect_set_exact(table):
     ],
 )
 def test_is_pattern_operator(table, code, expected):
-    assert is_pattern_operator(code, table) is expected
+    assert (code in table.retained(True)) is expected
 
 
 def test_is_pattern_operator_iterator_and_toggle(table):
-    assert is_pattern_operator("any_logic", table, iterators=frozenset({"any_logic"}))
-    assert is_pattern_operator("minus", table, include_bin_arith=True)
-    assert not is_pattern_operator("minus", table, include_bin_arith=False)
-    assert is_pattern_operator("set", table, include_bin_arith=False)
+    # iterator names are not in the table: analyze adds them to the set
+    assert "any_logic" not in table.retained(True)
+    assert "minus" in table.retained(True)
+    assert "minus" not in table.retained(False)
+    assert "set" in table.retained(False)
+    assert table.retained(True) - table.retained(False) == {
+        code for code in table.retained(True)
+        if table.rtx_class(code) is RtxClass.BIN_ARITH}
 
 
 def test_class_partition(table):
-    # every known code has exactly one class by construction; pattern/non-
-    # pattern classes are disjoint
-    for code in table.codes():
+    # every known code has exactly one class by construction; no code of an
+    # object, constant or match class is retained
+    for code in rtl._default_entries():
         cls = table.rtx_class(code)
         assert isinstance(cls, RtxClass)
         if cls in (RtxClass.OBJ, RtxClass.CONST_OBJ, RtxClass.MATCH):
-            assert not is_pattern_operator(code, table) or code in SIDE_EFFECT_CODES
+            assert code not in table.retained(True)
 
 
 def test_table_override_file(tmp_path, monkeypatch):
