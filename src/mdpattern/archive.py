@@ -1,10 +1,11 @@
 """Text archives: pattern files, parameter files, recombination, merging.
 
 Pattern file: ``#``-prefixed header lines (arch, total_templates, one line
-per iterator definition) then one ``<id> <height> <count> <pattern>`` line
-per unique pattern, sorted by (height, id).  A pattern text is read back
-only if it is one s-expression in which every list starts with a symbol,
-and is kept in its single-space rendering.
+per iterator definition, with ``%`` and the line breakers below escaped)
+then one ``<id> <height> <count> <pattern>`` line per unique pattern,
+sorted by (height, id).  A pattern text is read back only if it is one
+s-expression in which every list starts with a symbol, and is kept in its
+single-space rendering.
 
 Parameter file: one record per analyzed expression,
 ``<pattern-id> <form-kind> <form-name> $p=<value> ...`` with values
@@ -48,6 +49,9 @@ class DanglingPatternId(ArchiveError):
 #: to the %XX of its UTF-8 bytes.
 _ESCAPES = {ord(c): "".join("%%%02X" % b for b in c.encode())
             for c in "% \t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"}
+#: An iterator header escapes the same characters but space and tab, so the
+#: form stays readable.
+_HEADER_ESCAPES = {k: v for k, v in _ESCAPES.items() if chr(k) not in " \t"}
 _PERCENT_RUN_RE = re.compile(r"(?:%[0-9A-Fa-f]{2})+")
 
 
@@ -91,7 +95,7 @@ def pattern_file_of(analysis: MdAnalysis) -> PatternFile:
 
 def render_pattern_file(pf: PatternFile) -> str:
     lines = ["# arch: %s" % pf.arch, "# total_templates: %d" % pf.total_templates]
-    lines.extend("# iterator: %s" % it for it in pf.iterators)
+    lines.extend("# iterator: %s" % it.translate(_HEADER_ESCAPES) for it in pf.iterators)
     lines.extend("%d %d %d %s" % entry for entry in pf.entries)
     return "\n".join(lines) + "\n"
 
@@ -153,7 +157,7 @@ def read_pattern_file(text: str) -> PatternFile:
                 except ValueError:
                     raise BadHeader("line %d: bad total_templates" % lineno)
             elif body.startswith("iterator:"):
-                iterators.append(body[len("iterator:"):].strip())
+                iterators.append(unescape_value(body[len("iterator:"):].strip()))
             else:
                 raise BadHeader("line %d: unknown header line %r" % (lineno, line))
             continue

@@ -258,6 +258,34 @@ def test_verify_random_corpora(table, seed):
     assert verify_roundtrip(a) == (0, 0, 0)
 
 
+#: An iterator form whose strings hold '%' and two line breakers.
+ITERATOR_FORM = '(define_mode_attr sfx [(SI "a\fb") (DI "c\x85d") (HI "50%")])'
+
+
+def test_iterator_headers_survive_extract_merge_recombine_verify(tmp_path, capsys):
+    from mdpattern.cli import main
+
+    template = "[(set (reg:SI 0) (reg:SI 1))]"
+    (tmp_path / "one.md").write_text('%s\n(define_insn "x" %s "" "")\n'
+                                     % (ITERATOR_FORM, template), encoding="latin-1")
+    (tmp_path / "m.txt").write_text("one = one.md\n")
+    manifest = ["--manifest", str(tmp_path / "m.txt")]
+    assert main(["extract", "one", "--out-dir", str(tmp_path)] + manifest) == 0
+    patterns = tmp_path / "one.patterns"
+    assert ('# iterator: (define_mode_attr sfx [(SI "a%0Cb") (DI "c%C2%85d")'
+            ' (HI "50%25")])\n') in patterns.read_text(encoding="utf-8")
+    merged = tmp_path / "merged.patterns"
+    assert main(["merge", str(patterns), "--out", str(merged)]) == 0
+    assert merged.read_bytes() == patterns.read_bytes()
+    assert read_pattern_file(merged.read_text(encoding="utf-8")).iterators == [ITERATOR_FORM]
+    out = tmp_path / "one.recombined"
+    assert main(["recombine", "--patterns", str(merged), "--params",
+                 str(tmp_path / "one.params"), "--out", str(out)]) == 0
+    assert "\n  %s\n" % template in out.read_text(encoding="utf-8")
+    assert main(["verify"] + manifest) == 0
+    assert capsys.readouterr().out.endswith("one: 0 missing / 0 extra / 0 changed\n")
+
+
 # -- merge -------------------------------------------------------------------
 
 
