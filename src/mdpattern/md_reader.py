@@ -131,7 +131,7 @@ def resolve_includes(forms, base_dir, enabled=True,
             raise IncludeCycle(_stack + [path], form.origin)
         if not os.path.isfile(path):
             raise MissingInclude(path, form.origin)
-        with open(path, "r", encoding="latin-1") as fh:
+        with open(path, "r", encoding="latin-1", newline="") as fh:
             sub = parse_md(fh.read(), path, considered_heads)
         out.extend(resolve_includes(sub, os.path.dirname(path), enabled,
                                     considered_heads, _stack + [path]))
@@ -140,7 +140,8 @@ def resolve_includes(forms, base_dir, enabled=True,
 
 def load_md_file(path, resolve=True, considered_heads=DEFAULT_CONSIDERED_HEADS):
     """Parse one root MD file, optionally resolving its includes."""
-    with open(path, "r", encoding="latin-1") as fh:
+    # newline="": a CR in a string stays a CR; the lexer counts lines at LF
+    with open(path, "r", encoding="latin-1", newline="") as fh:
         forms = parse_md(fh.read(), str(path), considered_heads)
     return resolve_includes(forms, os.path.dirname(os.path.abspath(path)),
                             resolve, considered_heads, [os.path.normpath(os.path.abspath(path))])

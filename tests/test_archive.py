@@ -258,8 +258,8 @@ def test_verify_random_corpora(table, seed):
     assert verify_roundtrip(a) == (0, 0, 0)
 
 
-#: An iterator form whose strings hold '%' and two line breakers.
-ITERATOR_FORM = '(define_mode_attr sfx [(SI "a\fb") (DI "c\x85d") (HI "50%")])'
+#: An iterator form whose strings hold '%', two line breakers and a lone CR.
+ITERATOR_FORM = '(define_mode_attr sfx [(SI "a\fb") (DI "c\x85d") (QI "e\rf") (HI "50%")])'
 
 
 def test_iterator_headers_survive_extract_merge_recombine_verify(tmp_path, capsys):
@@ -272,7 +272,7 @@ def test_iterator_headers_survive_extract_merge_recombine_verify(tmp_path, capsy
     manifest = ["--manifest", str(tmp_path / "m.txt")]
     assert main(["extract", "one", "--out-dir", str(tmp_path)] + manifest) == 0
     patterns = tmp_path / "one.patterns"
-    assert ('# iterator: (define_mode_attr sfx [(SI "a%0Cb") (DI "c%C2%85d")'
+    assert ('# iterator: (define_mode_attr sfx [(SI "a%0Cb") (DI "c%C2%85d") (QI "e%0Df")'
             ' (HI "50%25")])\n') in patterns.read_text(encoding="utf-8")
     merged = tmp_path / "merged.patterns"
     assert main(["merge", str(patterns), "--out", str(merged)]) == 0

@@ -298,6 +298,23 @@ def test_verify_reports_an_unreadable_archive(tmp_path, capsys, monkeypatch):
     assert err.startswith("mdpattern: one: line 2: malformed entry")
 
 
+# a lone CR inside a template string; reading must not turn it into LF
+LONE_CR_MD = '(define_insn "cr"\n  [(set (match_operand:SI 0 "" "=r\r") (reg:SI 1))]\n  "" "")\n'
+
+
+def test_lone_cr_in_a_string_round_trips(tmp_path, capsys):
+    manifest = _one_form_manifest(tmp_path, LONE_CR_MD)
+    code, _, _ = run(capsys, "extract", "one", "--manifest", manifest,
+                     "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert '"=r%0D"' in (tmp_path / "one.params").read_text()
+    out = tmp_path / "one.recombined"
+    code, _, _ = run(capsys, "recombine", "--patterns", str(tmp_path / "one.patterns"),
+                     "--params", str(tmp_path / "one.params"), "--out", str(out))
+    assert code == EXIT_OK
+    assert b'\n  [(set (match_operand:SI 0 "" "=r\r") (reg:SI 1))]\n' in out.read_bytes()
+
+
 @pytest.mark.parametrize("table,message", [
     ("plus bogus yes\n", ":1: bad code-table line: 'plus bogus yes'"),
     (None, "No such file or directory"),
