@@ -80,10 +80,11 @@ def extract_pattern(tree: RtlExpr, table: RtxCodeTable, retained: frozenset,
             return "[%s]" % " ".join(texts), "[%s]" % " ".join(sources), h
         code = node.code
         if code in retained:
-            texts, sources = [code], [code]
+            head = pattern_head = code
             if node.mode is not None:
-                texts[0] += ":" + hole(mode_map, "mode", node.mode)
-                sources[0] += ":" + node.mode
+                head += ":" + node.mode
+                pattern_head += ":" + hole(mode_map, "mode", node.mode)
+            texts, sources = [pattern_head], [head]
             h = walk_all(node.children, texts, sources)
             return "(%s)" % " ".join(texts), "(%s)" % " ".join(sources), 1 + h
         if code is not None and unknown_codes is not None and table.rtx_class(code) is None:
