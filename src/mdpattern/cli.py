@@ -7,12 +7,16 @@ failure.
 
 Every command is a process of its own, so each subcommand imports only the
 layers it uses.  Layer functions are called through their module, so a
-patched module attribute takes effect.
+patched module attribute takes effect.  A command runs with the cyclic
+garbage collector paused: the parse trees and pattern data hold no
+reference cycles, so reference counting frees them, and the collector
+would only rescan them as they grow.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -97,10 +101,25 @@ def _emit_json(data, out):
 
 def _emit(text, out):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(out, text)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
+
+
+def _write_file(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError("%s: %s" % (path, exc.strerror or exc))
+
+
+def _read_archive(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise CliError("%s: %s" % (path, exc), EXIT_PARSE) from None
 
 
 def _fmt_table(headers, rows):
@@ -141,13 +160,14 @@ def cmd_extract(args):
     from . import archive
 
     analysis = _analyze_manifest(args, [args.arch])[0]
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise CliError("%s: %s" % (exc.filename or args.out_dir, exc.strerror or exc))
     ppath = os.path.join(args.out_dir, "%s.patterns" % analysis.arch_name)
     mpath = os.path.join(args.out_dir, "%s.params" % analysis.arch_name)
-    with open(ppath, "w", encoding="utf-8") as fh:
-        fh.write(archive.write_pattern_file(analysis))
-    with open(mpath, "w", encoding="utf-8") as fh:
-        fh.write(archive.write_param_file(analysis))
+    _write_file(ppath, archive.write_pattern_file(analysis))
+    _write_file(mpath, archive.write_param_file(analysis))
     print("wrote %s and %s" % (ppath, mpath))
     return EXIT_OK
 
@@ -217,10 +237,8 @@ def cmd_recombine(args):
     from .pattern import PatternError
 
     try:
-        with open(args.patterns, "r", encoding="utf-8") as fh:
-            ptext = fh.read()
-        with open(args.params, "r", encoding="utf-8") as fh:
-            mtext = fh.read()
+        ptext = _read_archive(args.patterns)
+        mtext = _read_archive(args.params)
         store, bindings, _ = archive.read_archives(ptext, mtext)
         forms = archive.recombine(store, bindings)
     except (OSError, archive.ArchiveError, PatternError) as exc:
@@ -235,8 +253,7 @@ def cmd_merge(args):
     try:
         pfiles = []
         for path in args.patterns:
-            with open(path, "r", encoding="utf-8") as fh:
-                pfiles.append(archive.read_pattern_file(fh.read()))
+            pfiles.append(archive.read_pattern_file(_read_archive(path)))
         merged = archive.merge(pfiles, args.min_count)
     except (OSError, archive.ArchiveError) as exc:
         raise CliError(str(exc), EXIT_PARSE)
@@ -337,6 +354,16 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    gc_enabled = gc.isenabled()
+    gc.disable()  # see the module docstring
+    try:
+        return _run(argv)
+    finally:
+        if gc_enabled:
+            gc.enable()
+
+
+def _run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

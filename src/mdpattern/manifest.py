@@ -58,7 +58,11 @@ def parse_manifest(text: str, base_dir: str = ".") -> list[ManifestEntry]:
 
 def load_manifest(path: str) -> list[ManifestEntry]:
     with open(path, "r", encoding="utf-8") as fh:
-        entries = parse_manifest(fh.read(), os.path.dirname(os.path.abspath(path)))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ManifestError("%s: %s" % (path, exc)) from None
+    entries = parse_manifest(text, os.path.dirname(os.path.abspath(path)))
     for e in entries:
         if not os.path.isfile(e.path):
             raise ManifestError("%s: no such MD file: %s" % (e.name, e.path))

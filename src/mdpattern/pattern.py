@@ -56,46 +56,61 @@ def extract_pattern(tree: RtlExpr, table: RtxCodeTable, retained: frozenset,
     in mode-then-arg order, and substituting them back reproduces the
     source text, the tree's single-space rendering.
     """
-    arg_map: dict[str, str] = {}
-    mode_map: dict[str, str] = {}
+    walk = _Walk(table, retained, unknown_codes)
+    text, source, h = walk.node(tree)
+    assignments = [(name, value) for holes in (walk.mode_map, walk.arg_map)
+                   for value, name in holes.items()]
+    return RtlPattern(text, max(1, h)), assignments, source
 
-    def hole(names, kind, text):
-        return names.setdefault(text, "$%s%d" % (kind, len(names)))
 
-    def walk_all(nodes, texts, sources):
+def _hole(names, kind, text):
+    return names.setdefault(text, "$%s%d" % (kind, len(names)))
+
+
+class _Walk:
+    """The state of one `extract_pattern` walk: what stays, and the holes
+    named so far.  Its methods recurse through `self`, so a walk leaves no
+    reference cycle for the cyclic collector to find."""
+
+    __slots__ = ("table", "retained", "unknown_codes", "arg_map", "mode_map")
+
+    def __init__(self, table, retained, unknown_codes):
+        self.table = table
+        self.retained = retained
+        self.unknown_codes = unknown_codes
+        self.arg_map: dict[str, str] = {}
+        self.mode_map: dict[str, str] = {}
+
+    def nodes(self, nodes, texts, sources):
         # appends each node's pattern and source text; returns the max height
         h = 0
         for node in nodes:
-            text, source, node_h = walk(node)
+            text, source, node_h = self.node(node)
             texts.append(text)
             sources.append(source)
             h = max(h, node_h)
         return h
 
-    def walk(node):
+    def node(self, node):
         # (pattern text, source text, height) of one node; a hole has height 1
         if node.is_vector:
             texts, sources = [], []
-            h = walk_all(node.children, texts, sources)
+            h = self.nodes(node.children, texts, sources)
             return "[%s]" % " ".join(texts), "[%s]" % " ".join(sources), h
         code = node.code
-        if code in retained:
+        if code in self.retained:
             head = pattern_head = code
             if node.mode is not None:
                 head += ":" + node.mode
-                pattern_head += ":" + hole(mode_map, "mode", node.mode)
+                pattern_head += ":" + _hole(self.mode_map, "mode", node.mode)
             texts, sources = [pattern_head], [head]
-            h = walk_all(node.children, texts, sources)
+            h = self.nodes(node.children, texts, sources)
             return "(%s)" % " ".join(texts), "(%s)" % " ".join(sources), 1 + h
-        if code is not None and unknown_codes is not None and table.rtx_class(code) is None:
+        unknown_codes = self.unknown_codes
+        if code is not None and unknown_codes is not None and self.table.rtx_class(code) is None:
             unknown_codes[code] += 1
         source = rtl_text(node)
-        return hole(arg_map, "arg", source), source, 1
-
-    text, source, h = walk(tree)
-    assignments = [(name, value) for holes in (mode_map, arg_map)
-                   for value, name in holes.items()]
-    return RtlPattern(text, max(1, h)), assignments, source
+        return _hole(self.arg_map, "arg", source), source, 1
 
 
 # One pass over a pattern text: string literals and (unnested) brace blocks

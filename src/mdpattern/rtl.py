@@ -127,14 +127,18 @@ class RtxCodeTable:
     def from_file(cls, path):
         entries = _default_entries()
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 3 or parts[1] not in _BY_NAME or parts[2] not in ("yes", "no"):
-                    raise RtlError("%s:%d: bad code-table line: %r" % (path, lineno, raw.rstrip()))
-                entries[parts[0]] = (_BY_NAME[parts[1]], parts[2] == "yes")
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise RtlError("%s: %s" % (path, exc)) from None
+        for lineno, raw in enumerate(text.split("\n"), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 3 or parts[1] not in _BY_NAME or parts[2] not in ("yes", "no"):
+                raise RtlError("%s:%d: bad code-table line: %r" % (path, lineno, raw.rstrip()))
+            entries[parts[0]] = (_BY_NAME[parts[1]], parts[2] == "yes")
         return cls(entries)
 
     @classmethod

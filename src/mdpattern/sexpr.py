@@ -106,6 +106,7 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
     toks: list[Token] = []
     append = toks.append
     match = _TOKEN_RE.match
+    new = tuple.__new__  # builds a Token without its Python-level __new__
     pos = 0
     line, line_start, counted = 1, 0, 0  # newlines are counted up to `counted`
     while True:
@@ -122,14 +123,14 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
         col = start - line_start + 1
         text = source[start:pos]
         if group == 1:
-            append(Token(text, text, line, col))
+            append(new(Token, (text, text, line, col)))
         elif group == 2:
             text = text[1:-1]
             if "\\" in text:
                 text = _ESCAPE_RE.sub(_unescape, text)
-            append(Token("string", text, line, col))
+            append(new(Token, ("string", text, line, col)))
         elif group < 5:
-            append(Token(_ATOM_KINDS[group], text, line, col))
+            append(new(Token, (_ATOM_KINDS[group], text, line, col)))
         elif text == "{":
             depth = 0
             for brace in _BRACE_RE.finditer(source, start):
@@ -139,7 +140,7 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
             else:
                 raise UnterminatedBlock("unbalanced brace block", filename, line, col)
             pos = brace.end()
-            append(Token("brace", source[start + 1 : pos - 1], line, col))
+            append(new(Token, ("brace", source[start + 1 : pos - 1], line, col)))
         else:
             cls, msg = _STRAY[text]
             raise cls(msg, filename, line, col)
@@ -152,12 +153,13 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
 class SExpr:
     """Base class; concrete variants below, each with one content field.
 
-    Only top-level expressions from `parse_text` carry a source location.
-    Two expressions are equal when they are of one class and their contents
-    are equal; the location does not count.
+    Only top-level expressions from `parse_text` carry a source location;
+    every other node's `loc` is None.  Two expressions are equal when they
+    are of one class and their contents are equal; the location does not
+    count.
     """
 
-    loc: Loc | None = None
+    __slots__ = ("loc",)
     _field = ""  # name of the content field
 
     def __eq__(self, other):
@@ -169,94 +171,108 @@ class SExpr:
 
 
 class Symbol(SExpr):
+    __slots__ = ("text",)
     _field = "text"
 
     def __init__(self, text: str):
         self.text = text
+        self.loc = None
 
 
 class Integer(SExpr):
+    __slots__ = ("value",)
     _field = "value"
 
     def __init__(self, value: int):
         self.value = value
+        self.loc = None
 
 
 class StringLit(SExpr):
+    __slots__ = ("text",)
     _field = "text"
 
     def __init__(self, text: str):
         self.text = text
+        self.loc = None
 
 
 class BraceBlock(SExpr):
+    __slots__ = ("text",)
     _field = "text"
 
     def __init__(self, text: str):
         self.text = text  # verbatim, braces balanced inside
+        self.loc = None
 
 
 class SList(SExpr):
+    __slots__ = ("items",)
     _field = "items"
 
     def __init__(self, items: list):
         self.items = items
+        self.loc = None
 
 
 class SVector(SExpr):
+    __slots__ = ("items",)
     _field = "items"
 
     def __init__(self, items: list):
         self.items = items
+        self.loc = None
 
 
-_CLOSER = {"(": ")", "[": "]"}
+def _atom(kind, value):
+    if kind == "symbol":
+        return Symbol(value)
+    if kind == "int":
+        return Integer(int(value))
+    return (StringLit if kind == "string" else BraceBlock)(value)
 
 
-def _parse_expr(toks, i, filename):
-    tok = toks[i]
-    if tok.kind == "symbol":
-        return Symbol(tok.value), i + 1
-    if tok.kind == "int":
-        return Integer(int(tok.value)), i + 1
-    if tok.kind == "string":
-        return StringLit(tok.value), i + 1
-    if tok.kind == "brace":
-        return BraceBlock(tok.value), i + 1
-    if tok.kind in "([":
-        closer = _CLOSER[tok.kind]
-        items = []
-        i += 1
-        while True:
-            if i >= len(toks):
-                raise UnbalancedParen("missing '%s'" % closer, filename, tok.line, tok.col)
-            if toks[i].kind in ")]":
-                if toks[i].kind != closer:
-                    raise UnbalancedParen(
-                        "mismatched '%s'" % toks[i].kind, filename, toks[i].line, toks[i].col
-                    )
-                cls = SList if closer == ")" else SVector
-                return cls(items), i + 1
-            item, i = _parse_expr(toks, i, filename)
-            items.append(item)
-    raise UnexpectedToken("unexpected '%s'" % tok.value, filename, tok.line, tok.col)
+def _parse_items(tokens, opener, filename):
+    """The list or vector that the token `opener` opens, read from the
+    token iterator up to and including its closer.
+
+    Atoms are made in the loop; only a nested list or vector recurses, so the
+    parser takes one stack frame per nesting level.
+    """
+    closer = ")" if opener.kind == "(" else "]"
+    items = []
+    append = items.append
+    for tok in tokens:
+        kind = tok.kind
+        if kind == "symbol":
+            append(Symbol(tok.value))
+        elif kind == "(" or kind == "[":
+            append(_parse_items(tokens, tok, filename))
+        elif kind == closer:
+            return (SList if closer == ")" else SVector)(items)
+        elif kind == ")" or kind == "]":
+            raise UnbalancedParen("mismatched '%s'" % kind, filename, tok.line, tok.col)
+        else:
+            append(_atom(kind, tok.value))
+    raise UnbalancedParen("missing '%s'" % closer, filename, opener.line, opener.col)
 
 
 def parse_text(source: str, filename: str | None = None) -> list[SExpr]:
     """Parse a whole source into its sequence of top-level expressions."""
-    toks = tokenize(source, filename)
+    tokens = iter(tokenize(source, filename))  # looked up per call: the bench wraps it
     out = []
-    i = 0
-    while i < len(toks):
-        if toks[i].kind in ")]":
-            raise UnbalancedParen(
-                "unmatched '%s'" % toks[i].kind, filename, toks[i].line, toks[i].col
-            )
-        loc = Loc(filename, toks[i].line, toks[i].col)
-        try:
-            expr, i = _parse_expr(toks, i, filename)
-        except RecursionError:  # the parser recurses once per nesting level
-            raise NestingTooDeep(loc) from None
+    for tok in tokens:
+        kind = tok.kind
+        loc = Loc(filename, tok.line, tok.col)
+        if kind == "(" or kind == "[":
+            try:
+                expr = _parse_items(tokens, tok, filename)
+            except RecursionError:  # the parser recurses once per nesting level
+                raise NestingTooDeep(loc) from None
+        elif kind == ")" or kind == "]":
+            raise UnbalancedParen("unmatched '%s'" % kind, filename, tok.line, tok.col)
+        else:
+            expr = _atom(kind, tok.value)
         expr.loc = loc
         out.append(expr)
     return out

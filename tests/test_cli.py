@@ -1,9 +1,10 @@
+import gc
 import json
 import sys
 
 import pytest
 
-from conftest import DATA
+from conftest import DATA, random_corpus
 from mdpattern.cli import (EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY, main)
 
 SYNTH = str(DATA / "synth" / "manifest.txt")
@@ -378,3 +379,112 @@ def test_determinism(capsys, tmp_path):
     b = run(capsys, "matrix", "--manifest", SYNTH, "--metric", "coverage",
             "--format", "json")
     assert a == b
+
+
+# -- files that cannot be read or written --------------------------------------
+
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
+
+
+def test_manifest_not_utf8_is_a_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "m.txt"
+    manifest.write_bytes(b"alpha = %s  # caf\xff\n" % str(DATA / "synth" / "alpha.md").encode())
+    code, out, err = run(capsys, "stats", "--manifest", str(manifest))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("mdpattern: %s: %s" % (manifest, NOT_UTF8))
+
+
+def test_code_table_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    table = tmp_path / "codes.txt"
+    table.write_bytes(b"frob extra yes\nplus comm_arith no # \xff\n")
+    monkeypatch.setenv("MDPATTERN_CODE_TABLE", str(table))
+    code, out, err = run(capsys, "stats", "--manifest", SYNTH)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("mdpattern: code table: %s: %s" % (table, NOT_UTF8))
+
+
+def test_archives_not_utf8_are_parse_errors(tmp_path, capsys):
+    run(capsys, "extract", "alpha", "--manifest", SYNTH, "--out-dir", str(tmp_path))
+    patterns, params = tmp_path / "alpha.patterns", tmp_path / "alpha.params"
+    bad = tmp_path / "bad"
+    bad.write_bytes(patterns.read_bytes().replace(b"$arg0", b"$arg0\xff", 1))
+    for argv in (("recombine", "--patterns", str(bad), "--params", str(params)),
+                 ("recombine", "--patterns", str(patterns), "--params", str(bad)),
+                 ("merge", str(patterns), str(bad))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, ""), argv
+        assert err.startswith("mdpattern: %s: %s" % (bad, NOT_UTF8)), argv
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    run(capsys, "extract", "alpha", "--manifest", SYNTH, "--out-dir", str(tmp_path))
+    patterns, params = str(tmp_path / "alpha.patterns"), str(tmp_path / "alpha.params")
+    target = tmp_path / "no" / "such" / "x.out"
+    for argv in (["stats", "--manifest", SYNTH],
+                 ["compare", "alpha", "beta", "--manifest", SYNTH],
+                 ["matrix", "--manifest", SYNTH],
+                 ["recombine", "--patterns", patterns, "--params", params],
+                 ["merge", patterns]):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err == "mdpattern: %s: No such file or directory\n" % target, argv
+    code, out, err = run(capsys, "stats", "--manifest", SYNTH, "--out", str(tmp_path))
+    assert (code, out, err) == (EXIT_USAGE, "", "mdpattern: %s: Is a directory\n" % tmp_path)
+
+
+def test_extract_into_a_file_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "F"
+    target.write_text("")
+    for out_dir, reason in ((target, "File exists"), (target / "sub", "Not a directory")):
+        code, out, err = run(capsys, "extract", "alpha", "--manifest", SYNTH,
+                             "--out-dir", str(out_dir))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "mdpattern: %s: %s\n" % (out_dir, reason)
+    assert target.read_text() == ""
+
+
+# -- the cyclic collector ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["stats", "--manifest", SYNTH], EXIT_OK),
+    (["compare", "alpha", "nope", "--manifest", SYNTH], EXIT_USAGE),  # CliError
+    (["stats", "--no-such-flag"], EXIT_USAGE),  # argparse
+], ids=["returns", "cli-error", "argparse"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_restores_the_collector_state(capsys, monkeypatch, argv, status, enabled):
+    from mdpattern import md_reader
+
+    seen = []
+    load = md_reader.load_md_file
+    monkeypatch.setattr(md_reader, "load_md_file",
+                        lambda *a: seen.append(gc.isenabled()) or load(*a))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(capsys, *argv)[0] == status
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([False, False] if status == EXIT_OK else [])
+
+
+def _cyclic_garbage(capsys, manifest):
+    """Objects that `gc.collect` finds unreachable after one `stats`."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(capsys, "stats", "--manifest", manifest)[0] == EXIT_OK
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_cyclic_garbage_does_not_grow_with_the_corpus(tmp_path, capsys):
+    source = random_corpus(6, max_exprs=300)
+    assert source.count("(define_insn") >= 200
+    big = _one_form_manifest(tmp_path, source)
+    _cyclic_garbage(capsys, SYNTH)  # imports, caches
+    assert _cyclic_garbage(capsys, big) == _cyclic_garbage(capsys, SYNTH)

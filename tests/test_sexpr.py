@@ -320,3 +320,103 @@ def _reference_escape(s):
 @given(st.text(alphabet='\\"\n\ta \r', max_size=20) | st.text(max_size=20))
 def test_escape_string_matches_per_character_reference(s):
     assert sexpr._escape_string(s) == _reference_escape(s)
+
+
+# ---------------------------------------------------------------------------
+# Property: the one-loop-per-level parser agrees with a per-token one
+
+_REF_CLOSER = {"(": ")", "[": "]"}
+
+
+def _reference_parse_expr(toks, i, filename):
+    tok = toks[i]
+    if tok.kind == "symbol":
+        return Symbol(tok.value), i + 1
+    if tok.kind == "int":
+        return Integer(int(tok.value)), i + 1
+    if tok.kind == "string":
+        return StringLit(tok.value), i + 1
+    if tok.kind == "brace":
+        return BraceBlock(tok.value), i + 1
+    if tok.kind in "([":
+        closer = _REF_CLOSER[tok.kind]
+        items = []
+        i += 1
+        while True:
+            if i >= len(toks):
+                raise sexpr.UnbalancedParen("missing '%s'" % closer, filename, tok.line, tok.col)
+            if toks[i].kind in ")]":
+                if toks[i].kind != closer:
+                    raise sexpr.UnbalancedParen(
+                        "mismatched '%s'" % toks[i].kind, filename, toks[i].line, toks[i].col
+                    )
+                cls = SList if closer == ")" else SVector
+                return cls(items), i + 1
+            item, i = _reference_parse_expr(toks, i, filename)
+            items.append(item)
+    raise sexpr.UnexpectedToken("unexpected '%s'" % tok.value, filename, tok.line, tok.col)
+
+
+def reference_parse_text(source, filename=None):
+    """The parser as one recursive call per token, kept as an oracle."""
+    toks = tokenize(source, filename)
+    out = []
+    i = 0
+    while i < len(toks):
+        if toks[i].kind in ")]":
+            raise sexpr.UnbalancedParen(
+                "unmatched '%s'" % toks[i].kind, filename, toks[i].line, toks[i].col
+            )
+        loc = sexpr.Loc(filename, toks[i].line, toks[i].col)
+        try:
+            expr, i = _reference_parse_expr(toks, i, filename)
+        except RecursionError:
+            raise sexpr.NestingTooDeep(loc) from None
+        expr.loc = loc
+        out.append(expr)
+    return out
+
+
+def _nested_nodes(e):
+    for item in getattr(e, "items", ()):
+        yield item
+        yield from _nested_nodes(item)
+
+
+def _parse_outcome(parser, source):
+    """Each top-level tree with its location, or the error's class, message
+    and location."""
+    try:
+        exprs = parser(source, "t.md")
+    except sexpr.SExprError as exc:
+        return (type(exc), exc.msg, exc.filename, exc.line, exc.col)
+    return [(e, e.loc) for e in exprs]
+
+
+# lexer-alphabet text, or a whole atom, nested in lists and vectors that are
+# sometimes closed by the other closer or not at all
+_nested_source = st.recursive(
+    st.text(alphabet=_LEX_ALPHABET, max_size=8)
+    | st.sampled_from(["a", "-1", '"s\\n"', "{b {c}}", "x:y", "\n  ", ";c\n"]),
+    lambda inner: st.tuples(st.sampled_from("(["), st.lists(inner, max_size=4),
+                            st.sampled_from([")", ")", "]", "]", ""]))
+                    .map(lambda t: t[0] + " ".join(t[1]) + t[2]),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=600)
+@given(st.lists(_nested_source, max_size=3).map("\n".join)
+       | st.lists(_expr.map(serialize), max_size=3).map("\n ".join))
+@example("(a [b (c 1)] \"s\" {x})\n  [d]\nsym -2")
+@example("(a\n  [b (c d]]")
+@example("(a [b (c)")
+@example("(a)\n ) b")
+@example("[(x)] ]")
+def test_parse_text_matches_per_token_reference(source):
+    outcome = _parse_outcome(parse_text, source)
+    assert outcome == _parse_outcome(reference_parse_text, source)
+    if isinstance(outcome, list):
+        for expr, loc in outcome:
+            assert loc is not None
+            assert all(node.loc is None for node in _nested_nodes(expr))
