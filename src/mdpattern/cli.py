@@ -111,7 +111,7 @@ def _write_file(path, text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliError("%s: %s" % (path, exc.strerror or exc))
+        raise CliError("%s: %s" % (path, exc.strerror))
 
 
 def _read_archive(path):
@@ -163,7 +163,7 @@ def cmd_extract(args):
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
-        raise CliError("%s: %s" % (exc.filename or args.out_dir, exc.strerror or exc))
+        raise CliError("%s: %s" % (exc.filename, exc.strerror))
     ppath = os.path.join(args.out_dir, "%s.patterns" % analysis.arch_name)
     mpath = os.path.join(args.out_dir, "%s.params" % analysis.arch_name)
     _write_file(ppath, archive.write_pattern_file(analysis))
