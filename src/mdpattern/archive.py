@@ -133,7 +133,7 @@ def _pattern_text(text):
             if isinstance(e, (SList, SVector)):
                 todo.extend(e.items)
         return sexpr.serialize(expr)
-    except (SExprError, RecursionError):  # the parser and printer recurse per level
+    except SExprError:
         return None
 
 

@@ -52,7 +52,7 @@ def _apply_overrides(entries, args):
     return entries
 
 
-def _analyze_manifest(args, names=None, count_subpatterns=False):
+def _analyze_manifest(args, names=None):
     """Analyze the named architectures of --manifest (all by default)."""
     from . import md_reader, pattern, rtl
     from .sexpr import SExprError
@@ -66,11 +66,8 @@ def _analyze_manifest(args, names=None, count_subpatterns=False):
         try:
             forms = md_reader.load_md_file(entry.path, entry.resolve_includes,
                                            entry.considered_heads)
-            analyses.append(pattern.analyze(
-                forms, table, entry.name,
-                include_bin_arith=not args.no_bin_arith,
-                count_subpatterns=count_subpatterns,
-            ))
+            analyses.append(pattern.analyze(forms, table, entry.name,
+                                            include_bin_arith=not args.no_bin_arith))
         except (OSError, md_reader.MdReaderError, SExprError) as exc:
             raise CliError("%s: %s" % (entry.name, exc), EXIT_PARSE)
     return analyses
@@ -136,7 +133,9 @@ def _fmt_table(headers, rows):
 
 
 def cmd_stats(args):
-    analyses = _analyze_manifest(args, count_subpatterns=args.count_subpatterns)
+    from . import pattern
+
+    analyses = _analyze_manifest(args)
     rows = []
     data = []
     for a in analyses:
@@ -145,7 +144,8 @@ def cmd_stats(args):
         rows.append([a.arch_name, str(e), str(p), "%.2f" % avg])
         item = {"arch": a.arch_name, "expressions": e, "patterns": p, "average": avg}
         if args.count_subpatterns:
-            item["unique_subpatterns"] = len(a.diagnostics.get("subpatterns", {}))
+            item["unique_subpatterns"] = len({s for text in a.store.canonical_texts()
+                                              for s in pattern.subpatterns(text)})
         if a.diagnostics["unknown_codes"]:
             item["unknown_codes"] = a.diagnostics["unknown_codes"]
         data.append(item)
@@ -177,7 +177,8 @@ def cmd_compare(args):
 
     a, b = _analyze_manifest(args, [args.arch_a, args.arch_b])
     rep = similarity.expression_similarity(a, b, args.expand_iterators)
-    cov_ab = similarity.target_coverage(a, b, args.expand_iterators)
+    # the a -> b matching is the report's: b's covered expressions
+    cov_ab = rep.covered_expr_b, similarity.coverage_pct(rep.covered_expr_b, b.expr_count)
     cov_ba = similarity.target_coverage(b, a, args.expand_iterators)
     data = {
         "arch_a": rep.arch_a,

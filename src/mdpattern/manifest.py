@@ -24,22 +24,23 @@ class ManifestEntry:
         self.considered_heads = considered_heads
 
 
-def parse_manifest(text: str, base_dir: str = ".") -> list[ManifestEntry]:
+def parse_manifest(text: str, path: str) -> list[ManifestEntry]:
+    """The entries of the manifest `path` holds `text`: MD paths resolve
+    relative to its directory, and each error starts ``path:line:``."""
+    base_dir = os.path.dirname(os.path.abspath(path))
     entries = []
     names = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ManifestError("line %d: expected 'name = path'" % lineno)
         name, _, rest = line.partition("=")
         name = name.strip()
         parts = rest.split()
         if not name or not parts:
-            raise ManifestError("line %d: expected 'name = path'" % lineno)
+            raise ManifestError("%s:%d: expected 'name = path'" % (path, lineno))
         if name in names:
-            raise ManifestError("line %d: duplicate architecture %r" % (lineno, name))
+            raise ManifestError("%s:%d: duplicate architecture %r" % (path, lineno, name))
         names.add(name)
         entry = ManifestEntry(name, os.path.normpath(os.path.join(base_dir, parts[0])))
         for flag in parts[1:]:
@@ -48,10 +49,10 @@ def parse_manifest(text: str, base_dir: str = ".") -> list[ManifestEntry]:
             elif flag.startswith("heads="):
                 heads = frozenset(h for h in flag[len("heads="):].split(",") if h)
                 if not heads:
-                    raise ManifestError("line %d: empty heads= list" % lineno)
+                    raise ManifestError("%s:%d: empty heads= list" % (path, lineno))
                 entry.considered_heads = heads
             else:
-                raise ManifestError("line %d: unknown flag %r" % (lineno, flag))
+                raise ManifestError("%s:%d: unknown flag %r" % (path, lineno, flag))
         entries.append(entry)
     return entries
 
@@ -62,7 +63,7 @@ def load_manifest(path: str) -> list[ManifestEntry]:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ManifestError("%s: %s" % (path, exc)) from None
-    entries = parse_manifest(text, os.path.dirname(os.path.abspath(path)))
+    entries = parse_manifest(text, path)
     for e in entries:
         if not os.path.isfile(e.path):
             raise ManifestError("%s: no such MD file: %s" % (e.name, e.path))

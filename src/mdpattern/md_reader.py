@@ -113,6 +113,7 @@ def resolve_includes(forms, base_dir, enabled=True,
                      considered_heads=DEFAULT_CONSIDERED_HEADS, _stack=None):
     """Splice included files in place of their include forms, recursively.
 
+    `_stack`, the files being read, may grow to sexpr.MAX_DEPTH files.
     With ``enabled`` false the include forms are retained as Ignored so
     downstream counts are unaffected.
     """
@@ -131,6 +132,8 @@ def resolve_includes(forms, base_dir, enabled=True,
             raise IncludeCycle(_stack + [path], form.origin)
         if not os.path.isfile(path):
             raise MissingInclude(path, form.origin)
+        if len(_stack) >= sexpr.MAX_DEPTH:
+            raise sexpr.NestingTooDeep(form.origin)
         with open(path, "r", encoding="latin-1", newline="") as fh:
             sub = parse_md(fh.read(), path, considered_heads)
         out.extend(resolve_includes(sub, os.path.dirname(path), enabled,

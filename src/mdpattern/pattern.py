@@ -250,10 +250,7 @@ def register_iterators(forms):
     for form in forms:
         if form.kind is not FormKind.ITERATOR:
             continue
-        try:
-            verbatim.append(sexpr.serialize(form.body))
-        except RecursionError:  # the printer recurses per nesting level
-            raise _too_deep(form) from None
+        verbatim.append(sexpr.serialize(form.body))
         if form.head == "define_code_iterator" and form.name:
             names.add(form.name)
         elif form.head == "define_code_attr" and form.name:
@@ -274,8 +271,7 @@ def register_iterators(forms):
     return frozenset(names), verbatim, members
 
 
-def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True,
-            count_subpatterns=False) -> MdAnalysis:
+def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True) -> MdAnalysis:
     """Run the pattern pipeline over one architecture's parsed forms."""
     iterators, verbatim, members = register_iterators(forms)
     retained = table.retained(include_bin_arith) | iterators
@@ -284,7 +280,6 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True,
     source_texts = []
     unknown = Counter()
     skipped = []
-    subpatterns = Counter()
     for form in forms:
         if form.kind is not FormKind.CONSIDERED:
             continue
@@ -295,17 +290,11 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True,
         except (MissingTemplateVector, rtl.RtlError) as exc:
             skipped.append(str(exc))
             continue
-        except RecursionError:  # tree building and the walk recurse per nesting level
-            raise _too_deep(form) from None
         pid, _ = store.insert(pattern)
         bindings.append(ParamBinding(pid, assignments, form.head, form.name,
                                      _origin_text(form)))
         source_texts.append(source_text)
-        if count_subpatterns:
-            _count_subpatterns(pattern.canonical_text, subpatterns)
     diagnostics = {"unknown_codes": dict(unknown), "skipped": skipped}
-    if count_subpatterns:
-        diagnostics["subpatterns"] = dict(subpatterns)
     return MdAnalysis(
         arch_name=arch_name,
         store=store,
@@ -317,10 +306,6 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True,
     )
 
 
-def _too_deep(form):
-    return sexpr.NestingTooDeep(form.origin or sexpr.Loc(None, 0, 0))
-
-
 def _origin_text(form):
     loc = form.origin
     if loc is None:
@@ -328,12 +313,12 @@ def _origin_text(form):
     return "%s:%s" % (loc.filename, loc.line)
 
 
-def _count_subpatterns(text, counter):
-    # diagnostic only: each '(' of an extracted text opens one retained
-    # operator subtree
+def subpatterns(text):
+    """Yield the operator subtrees of a pattern text with their holes
+    renumbered: each '(' of a pattern text opens one retained operator."""
     opens = []
     for i, ch in enumerate(text):
         if ch == "(":
             opens.append(i)
         elif ch == ")":
-            counter[renumber_holes(text[opens.pop():i + 1])] += 1
+            yield renumber_holes(text[opens.pop():i + 1])

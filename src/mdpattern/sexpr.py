@@ -42,8 +42,16 @@ class UnexpectedToken(SExprError):
     pass
 
 
+#: How deep input may nest: the lists and vectors of one top-level form and
+#: the files of one include chain, each counting the outermost.  Real MD
+#: forms nest about a dozen levels; the recursive tree walks take up to three
+#: stack frames a level, well inside Python's default recursion limit.
+MAX_DEPTH = 200
+
+
 class NestingTooDeep(SExprError):
-    """A form nests deeper than the recursive parser and tree walks follow."""
+    """Input nests more than MAX_DEPTH levels; `loc` is the top-level form,
+    or the include form that passes the bound."""
 
     def __init__(self, loc: "Loc"):
         super().__init__("nesting too deep", loc.filename, loc.line, loc.col)
@@ -232,13 +240,16 @@ def _atom(kind, value):
     return (StringLit if kind == "string" else BraceBlock)(value)
 
 
-def _parse_items(tokens, opener, filename):
-    """The list or vector that the token `opener` opens, read from the
-    token iterator up to and including its closer.
+def _parse_items(tokens, opener, top, depth):
+    """The list or vector that the token `opener` opens, `depth` levels deep
+    in the top-level form at `top`, read from the token iterator up to and
+    including its closer.
 
     Atoms are made in the loop; only a nested list or vector recurses, so the
     parser takes one stack frame per nesting level.
     """
+    if depth > MAX_DEPTH:
+        raise NestingTooDeep(top)
     closer = ")" if opener.kind == "(" else "]"
     items = []
     append = items.append
@@ -247,14 +258,14 @@ def _parse_items(tokens, opener, filename):
         if kind == "symbol":
             append(Symbol(tok.value))
         elif kind == "(" or kind == "[":
-            append(_parse_items(tokens, tok, filename))
+            append(_parse_items(tokens, tok, top, depth + 1))
         elif kind == closer:
             return (SList if closer == ")" else SVector)(items)
         elif kind == ")" or kind == "]":
-            raise UnbalancedParen("mismatched '%s'" % kind, filename, tok.line, tok.col)
+            raise UnbalancedParen("mismatched '%s'" % kind, top.filename, tok.line, tok.col)
         else:
             append(_atom(kind, tok.value))
-    raise UnbalancedParen("missing '%s'" % closer, filename, opener.line, opener.col)
+    raise UnbalancedParen("missing '%s'" % closer, top.filename, opener.line, opener.col)
 
 
 def parse_text(source: str, filename: str | None = None) -> list[SExpr]:
@@ -265,10 +276,7 @@ def parse_text(source: str, filename: str | None = None) -> list[SExpr]:
         kind = tok.kind
         loc = Loc(filename, tok.line, tok.col)
         if kind == "(" or kind == "[":
-            try:
-                expr = _parse_items(tokens, tok, filename)
-            except RecursionError:  # the parser recurses once per nesting level
-                raise NestingTooDeep(loc) from None
+            expr = _parse_items(tokens, tok, loc, 1)
         elif kind == ")" or kind == "]":
             raise UnbalancedParen("unmatched '%s'" % kind, filename, tok.line, tok.col)
         else:

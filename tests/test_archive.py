@@ -12,6 +12,7 @@ from mdpattern.archive import (BadHeader, DanglingPatternId, MalformedEntry,
                                verify_roundtrip, write_param_file,
                                write_pattern_file)
 from mdpattern.pattern import ArityMismatch
+from mdpattern.sexpr import MAX_DEPTH
 
 
 @pytest.fixture(scope="module")
@@ -172,11 +173,20 @@ def test_read_duplicate_entry_reports_line(second):
 @pytest.mark.parametrize("text", ["(set $arg0", "(set () $arg0)", "(set (1 $arg0))",
                                   "((set) $arg0)", "[(set $arg0) ()]", "(a) (b)",
                                   pytest.param("(set " * 5000 + "$arg0" + ")" * 5000,
-                                               id="deeper-than-the-recursive-parser")])
+                                               id="deeper-than-the-recursive-parser"),
+                                  pytest.param("(set " * (MAX_DEPTH + 1) + "$arg0"
+                                               + ")" * (MAX_DEPTH + 1),
+                                               id="one-level-past-the-bound")])
 def test_read_rejects_malformed_pattern_text(text):
     with pytest.raises(MalformedEntry) as ei:
         read_pattern_file("# arch: x\n# total_templates: 1\n0 1 1 %s\n" % text)
     assert ei.value.lineno == 3
+
+
+def test_read_accepts_pattern_text_at_the_bound():
+    text = "(set " * MAX_DEPTH + "$arg0" + ")" * MAX_DEPTH
+    pf = read_pattern_file("# arch: x\n# total_templates: 1\n0 %d 1 %s\n" % (MAX_DEPTH, text))
+    assert pf.entries == [(0, MAX_DEPTH, 1, text)]
 
 
 def test_read_keeps_single_space_rendering():

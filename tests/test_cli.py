@@ -1,11 +1,11 @@
 import gc
 import json
-import sys
 
 import pytest
 
 from conftest import DATA, random_corpus
 from mdpattern.cli import (EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY, main)
+from mdpattern.sexpr import MAX_DEPTH
 
 SYNTH = str(DATA / "synth" / "manifest.txt")
 FIG2 = str(DATA / "fig2" / "manifest.txt")
@@ -199,23 +199,32 @@ def _one_form_manifest(tmp_path, source):
     return str(tmp_path / "m.txt")
 
 
-def _nested_template(depth):
+def _nested_template(levels):
+    """A define_insn that nests `levels` deep, the form itself counting as 1."""
+    negs = levels - 4  # the form, its vector, set and reg
     return ('(define_insn "deep"\n  [(set (reg:SI 0) %s(reg:SI 1)%s)]\n  "" "")\n'
-            % ("(neg:SI " * depth, ")" * depth))
+            % ("(neg:SI " * negs, ")" * negs))
 
 
-def _nested_iterator(depth):
-    return "(define_code_iterator deep [plus %s%s])\n" % ("(minus " * depth, ")" * depth)
+def _nested_iterator(levels):
+    return "(define_code_iterator deep [plus %s%s])\n" % ("(minus " * (levels - 2),
+                                                          ")" * (levels - 2))
+
+
+def _nested_ignored(levels):
+    return '(define_attr "deep" "" %s1%s)\n' % ("(if_then_else " * (levels - 1),
+                                                  ")" * (levels - 1))
 
 
 @pytest.mark.parametrize("source", [
     _nested_template(1000),
     _nested_template(50000),
-    # parses, but the tree walks take three stack frames per level
-    _nested_template(sys.getrecursionlimit() * 2 // 5),
-    # parses, but the printer takes two stack frames per level
-    _nested_iterator(sys.getrecursionlimit() * 2 // 3),
-], ids=["template-1000", "template-50000", "template-walks", "iterator-printer"])
+    # the bound leaves room for the tree walks, three stack frames per level
+    _nested_template(MAX_DEPTH + 1),
+    # an iterator form is printed whole into the pattern archive
+    _nested_iterator(MAX_DEPTH + 1),
+    _nested_ignored(MAX_DEPTH + 1),
+], ids=["template-1000", "template-50000", "template-walks", "iterator-printer", "ignored"])
 def test_deep_nesting_is_a_parse_error(tmp_path, capsys, source):
     manifest = _one_form_manifest(tmp_path, ";; too deep\n" + source)
     for command in ("stats", "verify"):
@@ -228,6 +237,45 @@ def test_nesting_100_deep_is_analyzed(tmp_path, capsys):
     manifest = _one_form_manifest(tmp_path, _nested_template(100))
     code, out, _ = run(capsys, "verify", "--manifest", manifest)
     assert (code, out) == (EXIT_OK, "one: 0 missing / 0 extra / 0 changed\n")
+
+
+@pytest.mark.parametrize("nested", [_nested_template, _nested_iterator, _nested_ignored],
+                         ids=["template", "iterator", "ignored"])
+def test_nesting_at_the_bound_is_analyzed(tmp_path, capsys, nested):
+    manifest = _one_form_manifest(tmp_path, nested(MAX_DEPTH))
+    code, out, _ = run(capsys, "verify", "--manifest", manifest)
+    assert (code, out) == (EXIT_OK, "one: 0 missing / 0 extra / 0 changed\n")
+    code, _, _ = run(capsys, "extract", "one", "--manifest", manifest,
+                     "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    code, _, _ = run(capsys, "merge", str(tmp_path / "one.patterns"))
+    assert code == EXIT_OK
+
+
+def _include_chain(tmp_path, files):
+    """A manifest whose root file 0.md includes 1.md, which includes 2.md,
+    and so on: `files` files in all, the last holding one template."""
+    for i in range(files - 1):
+        (tmp_path / ("%d.md" % i)).write_text(';; link %d\n  (include "%d.md")\n' % (i, i + 1))
+    (tmp_path / ("%d.md" % (files - 1))).write_text(_nested_template(5))
+    (tmp_path / "m.txt").write_text("chain = 0.md\n")
+    return str(tmp_path / "m.txt")
+
+
+def test_include_chain_at_the_bound_is_read(tmp_path, capsys):
+    code, out, _ = run(capsys, "stats", "--manifest", _include_chain(tmp_path, MAX_DEPTH),
+                       "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"][0]["expressions"] == 1
+
+
+def test_include_chain_past_the_bound_is_a_parse_error(tmp_path, capsys):
+    manifest = _include_chain(tmp_path, MAX_DEPTH + 1)
+    code, out, err = run(capsys, "stats", "--manifest", manifest)
+    assert (code, out) == (EXIT_PARSE, "")
+    # the include form that would open file MAX_DEPTH + 1
+    last = tmp_path / ("%d.md" % (MAX_DEPTH - 1))
+    assert err == "mdpattern: chain: %s:2:3: nesting too deep\n" % last
 
 
 def test_empty_mode_keeps_its_colon(tmp_path, capsys):
@@ -392,6 +440,22 @@ def test_manifest_not_utf8_is_a_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "stats", "--manifest", str(manifest))
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("mdpattern: %s: %s" % (manifest, NOT_UTF8))
+
+
+@pytest.mark.parametrize("line,message", [
+    ("alpha alpha.md", "expected 'name = path'"),
+    ("alpha =", "expected 'name = path'"),
+    ("alpha = alpha.md\nalpha = beta.md", "duplicate architecture 'alpha'"),
+    ("alpha = alpha.md heads=", "empty heads= list"),
+    ("alpha = alpha.md nope", "unknown flag 'nope'"),
+], ids=["no-equals", "no-path", "duplicate", "empty-heads", "unknown-flag"])
+def test_malformed_manifest_names_its_file_and_line(tmp_path, capsys, line, message):
+    manifest = tmp_path / "bad.txt"
+    manifest.write_text("# one arch\n" + line + "\n")
+    code, out, err = run(capsys, "stats", "--manifest", str(manifest))
+    assert (code, out) == (EXIT_USAGE, "")
+    lineno = line.count("\n") + 2
+    assert err == "mdpattern: %s:%d: %s\n" % (manifest, lineno, message)
 
 
 def test_code_table_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch):

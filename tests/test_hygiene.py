@@ -73,6 +73,25 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+# -- one nesting bound ---------------------------------------------------------
+# sexpr.MAX_DEPTH bounds how deep input nests where it is parsed, so every
+# recursive walk of a parsed tree fits the stack and none catches the error.
+
+
+def names_read(source: str) -> set:
+    return {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
+
+
+def test_names_read_detector():
+    source = "try:\n    f()\nexcept (OSError, RecursionError):\n    pass\n"
+    assert "RecursionError" in names_read(source)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_recursion_error_guards(path):
+    assert "RecursionError" not in names_read(path.read_text(encoding="utf-8"))
+
+
 # -- startup cost ------------------------------------------------------------
 # Every command is a process of its own, so what the CLI imports is paid on
 # every run.

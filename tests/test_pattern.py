@@ -10,7 +10,7 @@ from test_rtl import height
 from mdpattern import md_reader, pattern, rtl, sexpr
 from mdpattern.pattern import (ArityMismatch, PatternStore, analyze,
                                extract_pattern, register_iterators,
-                               renumber_holes, substitute)
+                               renumber_holes, subpatterns, substitute)
 from mdpattern.rtl import RtxCodeTable, build_rtl_tree, build_template_tree, rtl_text
 
 MIPS_ADD = (
@@ -378,9 +378,9 @@ def test_count_subpatterns_diagnostic(table):
     forms = md_reader.parse_md(
         '(define_insn "x" [(set (reg 0) (plus:SI (reg 1) (reg 2)))] "" "")'
     )
-    a = analyze(forms, table, count_subpatterns=True)
-    subs = a.diagnostics["subpatterns"]
-    assert "(plus:$mode0 $arg0 $arg1)" in subs
+    text, = analyze(forms, table).store.canonical_texts()
+    assert set(subpatterns(text)) == {"(plus:$mode0 $arg0 $arg1)",
+                                      "(set $arg0 (plus:$mode0 $arg1 $arg2))"}
 
 
 def test_height_monotone_under_abstraction(table):

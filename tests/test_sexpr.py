@@ -87,6 +87,17 @@ def test_deep_nesting_is_a_typed_error():
     assert serialize(parse_one(nested)) == nested.replace(" )", ")")
 
 
+@pytest.mark.parametrize("opener,closer", [("(b ", ")"), ("[", "]")], ids=["lists", "vectors"])
+def test_nesting_is_bounded_at_max_depth(opener, closer):
+    # the top-level form counts as one level; lists and vectors count alike
+    at_bound = "(a " + opener * (sexpr.MAX_DEPTH - 1) + closer * (sexpr.MAX_DEPTH - 1) + ")"
+    assert serialize(parse_one(at_bound)) == at_bound.replace(" )", ")").replace(" ]", "]")
+    past = "(a " + opener * sexpr.MAX_DEPTH + closer * sexpr.MAX_DEPTH + ")"
+    with pytest.raises(sexpr.NestingTooDeep) as ei:
+        parse_text("x\n " + past, "t.md")
+    assert (ei.value.filename, ei.value.line, ei.value.col) == ("t.md", 2, 2)
+
+
 def test_parse_empty_input():
     assert parse_text("") == []
     assert parse_text(" ; only a comment\n") == []
