@@ -176,10 +176,13 @@ def cmd_compare(args):
     from . import similarity
 
     a, b = _analyze_manifest(args, [args.arch_a, args.arch_b])
-    rep = similarity.expression_similarity(a, b, args.expand_iterators)
-    # the a -> b matching is the report's: b's covered expressions
-    cov_ab = rep.covered_expr_b, similarity.coverage_pct(rep.covered_expr_b, b.expr_count)
-    cov_ba = similarity.target_coverage(b, a, args.expand_iterators)
+    try:
+        rep = similarity.expression_similarity(a, b, args.expand_iterators)
+        # the a -> b matching is the report's: b's covered expressions
+        cov_ab = rep.covered_expr_b, similarity.coverage_pct(rep.covered_expr_b, b.expr_count)
+        cov_ba = similarity.target_coverage(b, a, args.expand_iterators)
+    except similarity.SimilarityError as exc:
+        raise _undefined(exc, [a, b])
     data = {
         "arch_a": rep.arch_a,
         "arch_b": rep.arch_b,
@@ -209,13 +212,22 @@ def cmd_compare(args):
     return EXIT_OK
 
 
+def _undefined(exc, analyses):
+    # a percentage over no expressions: name the architectures that have none
+    empty = dict.fromkeys(a.arch_name for a in analyses if not a.expr_count)
+    return CliError("%s: %s" % (", ".join(empty), exc), EXIT_PARSE)
+
+
 def cmd_matrix(args):
     from . import similarity
 
     analyses = _analyze_manifest(args)
     if len(analyses) < 2:
         raise CliError("matrix needs at least two architectures")
-    rep = similarity.similarity_matrix(analyses, args.metric, args.expand_iterators)
+    try:
+        rep = similarity.similarity_matrix(analyses, args.metric, args.expand_iterators)
+    except similarity.SimilarityError as exc:
+        raise _undefined(exc, analyses)
     if args.format == "json":
         data = {
             "table": rep.metric,

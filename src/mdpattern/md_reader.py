@@ -94,10 +94,7 @@ def parse_md(source: str, origin: str | None = None,
     forms = []
     for expr in sexpr.parse_text(source, origin):
         if not isinstance(expr, SList):
-            loc = expr.loc
-            raise sexpr.UnexpectedToken(
-                "top-level form is not a list", loc.filename, loc.line, loc.col
-            )
+            raise sexpr.UnexpectedToken("top-level form is not a list", *expr.loc)
         forms.append(classify(expr, considered_heads))
     return forms
 
@@ -134,18 +131,21 @@ def resolve_includes(forms, base_dir, enabled=True,
             raise MissingInclude(path, form.origin)
         if len(_stack) >= sexpr.MAX_DEPTH:
             raise sexpr.NestingTooDeep(form.origin)
-        with open(path, "r", encoding="latin-1", newline="") as fh:
-            sub = parse_md(fh.read(), path, considered_heads)
+        sub = _parse_md_file(path, considered_heads)
         out.extend(resolve_includes(sub, os.path.dirname(path), enabled,
                                     considered_heads, _stack + [path]))
     return out
 
 
+def _parse_md_file(path, considered_heads):
+    # newline="": a CR in a string stays a CR; lines are counted at LF
+    with open(path, "r", encoding="latin-1", newline="") as fh:
+        return parse_md(fh.read(), str(path), considered_heads)
+
+
 def load_md_file(path, resolve=True, considered_heads=DEFAULT_CONSIDERED_HEADS):
     """Parse one root MD file, optionally resolving its includes."""
-    # newline="": a CR in a string stays a CR; the lexer counts lines at LF
-    with open(path, "r", encoding="latin-1", newline="") as fh:
-        forms = parse_md(fh.read(), str(path), considered_heads)
+    forms = _parse_md_file(path, considered_heads)
     return resolve_includes(forms, os.path.dirname(os.path.abspath(path)),
                             resolve, considered_heads, [os.path.normpath(os.path.abspath(path))])
 

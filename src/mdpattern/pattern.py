@@ -37,12 +37,12 @@ class ParamBinding:
     __slots__ = ("pattern_id", "assignments", "form_kind", "form_name", "origin")
 
     def __init__(self, pattern_id: int, assignments: list, form_kind: str,
-                 form_name: str, origin: str = ""):
+                 form_name: str, origin: sexpr.Loc | None = None):
         self.pattern_id = pattern_id
         self.assignments = assignments  # ordered (param name text, verbatim replaced text)
         self.form_kind = form_kind  # define_* head of the originating form
         self.form_name = form_name
-        self.origin = origin
+        self.origin = origin  # the form's Loc; None when read from an archive
 
 
 def extract_pattern(tree: RtlExpr, table: RtxCodeTable, retained: frozenset,
@@ -291,8 +291,7 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True) ->
             skipped.append(str(exc))
             continue
         pid, _ = store.insert(pattern)
-        bindings.append(ParamBinding(pid, assignments, form.head, form.name,
-                                     _origin_text(form)))
+        bindings.append(ParamBinding(pid, assignments, form.head, form.name, form.origin))
         source_texts.append(source_text)
     diagnostics = {"unknown_codes": dict(unknown), "skipped": skipped}
     return MdAnalysis(
@@ -304,13 +303,6 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True) ->
         diagnostics=diagnostics,
         code_iterators=members,
     )
-
-
-def _origin_text(form):
-    loc = form.origin
-    if loc is None:
-        return form.name
-    return "%s:%s" % (loc.filename, loc.line)
 
 
 def subpatterns(text):

@@ -54,27 +54,16 @@ class NestingTooDeep(SExprError):
     or the include form that passes the bound."""
 
     def __init__(self, loc: "Loc"):
-        super().__init__("nesting too deep", loc.filename, loc.line, loc.col)
+        super().__init__("nesting too deep", *loc)
 
 
-class Loc:
-    __slots__ = ("filename", "line", "col")
-
-    def __init__(self, filename: str | None, line: int, col: int):
-        self.filename = filename
-        self.line = line
-        self.col = col
-
-    def __eq__(self, other):
-        return (type(other) is Loc and self.filename == other.filename
-                and self.line == other.line and self.col == other.col)
-
-    def __repr__(self):
-        return "Loc(%r, %d, %d)" % (self.filename, self.line, self.col)
+#: A top-level form's source position: 1-based line, column in characters.
+Loc = namedtuple("Loc", "filename line col")
 
 
-#: kind is one of '(' ')' '[' ']' 'symbol' 'int' 'string' 'brace'
-Token = namedtuple("Token", "kind value line col")
+#: kind is one of '(' ')' '[' ']' 'symbol' 'int' 'string' 'brace'; pos is
+#: the offset of the token's first character in the source.
+Token = namedtuple("Token", "kind value pos")
 
 
 # Characters that end an atom; an atom is a maximal run of the others.
@@ -108,37 +97,39 @@ def _unescape(m):
     return _STR_ESCAPES.get(m.group(1), m.group(0))
 
 
+def line_col(source: str, pos: int, counted: int = 0, line: int = 1) -> tuple[int, int]:
+    """The 1-based line and column, in characters, of offset `pos`.
+
+    Lines end at LF only, so a lone CR stays inside its line.  A caller that
+    knows `line` is the line of an earlier offset `counted` counts from there.
+    """
+    return line + source.count("\n", counted, pos), pos - source.rfind("\n", 0, pos)
+
+
 def tokenize(source: str, filename: str | None = None) -> list[Token]:
-    """Split a source into tokens; each carries the 1-based line and column
-    (in characters) of its first character."""
+    """Split a source into tokens; each carries the offset of its first
+    character, which `line_col` turns into a line and column."""
     toks: list[Token] = []
     append = toks.append
     match = _TOKEN_RE.match
     new = tuple.__new__  # builds a Token without its Python-level __new__
     pos = 0
-    line, line_start, counted = 1, 0, 0  # newlines are counted up to `counted`
     while True:
         m = match(source, pos)
         group = m.lastindex
         if group is None:  # end of input
             return toks
         start, pos = m.span(group)
-        newlines = source.count("\n", counted, start)
-        if newlines:
-            line += newlines
-            line_start = source.rindex("\n", counted, start) + 1
-        counted = start
-        col = start - line_start + 1
         text = source[start:pos]
         if group == 1:
-            append(new(Token, (text, text, line, col)))
+            append(new(Token, (text, text, start)))
         elif group == 2:
             text = text[1:-1]
             if "\\" in text:
                 text = _ESCAPE_RE.sub(_unescape, text)
-            append(new(Token, ("string", text, line, col)))
+            append(new(Token, ("string", text, start)))
         elif group < 5:
-            append(new(Token, (_ATOM_KINDS[group], text, line, col)))
+            append(new(Token, (_ATOM_KINDS[group], text, start)))
         elif text == "{":
             depth = 0
             for brace in _BRACE_RE.finditer(source, start):
@@ -146,12 +137,13 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
                 if depth == 0:
                     break
             else:
-                raise UnterminatedBlock("unbalanced brace block", filename, line, col)
+                raise UnterminatedBlock("unbalanced brace block", filename,
+                                        *line_col(source, start))
             pos = brace.end()
-            append(new(Token, ("brace", source[start + 1 : pos - 1], line, col)))
+            append(new(Token, ("brace", source[start + 1 : pos - 1], start)))
         else:
             cls, msg = _STRAY[text]
-            raise cls(msg, filename, line, col)
+            raise cls(msg, filename, *line_col(source, start))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +232,7 @@ def _atom(kind, value):
     return (StringLit if kind == "string" else BraceBlock)(value)
 
 
-def _parse_items(tokens, opener, top, depth):
+def _parse_items(tokens, opener, top, depth, source):
     """The list or vector that the token `opener` opens, `depth` levels deep
     in the top-level form at `top`, read from the token iterator up to and
     including its closer.
@@ -258,27 +250,32 @@ def _parse_items(tokens, opener, top, depth):
         if kind == "symbol":
             append(Symbol(tok.value))
         elif kind == "(" or kind == "[":
-            append(_parse_items(tokens, tok, top, depth + 1))
+            append(_parse_items(tokens, tok, top, depth + 1, source))
         elif kind == closer:
             return (SList if closer == ")" else SVector)(items)
         elif kind == ")" or kind == "]":
-            raise UnbalancedParen("mismatched '%s'" % kind, top.filename, tok.line, tok.col)
+            raise UnbalancedParen("mismatched '%s'" % kind, top.filename,
+                                  *line_col(source, tok.pos))
         else:
             append(_atom(kind, tok.value))
-    raise UnbalancedParen("missing '%s'" % closer, top.filename, opener.line, opener.col)
+    raise UnbalancedParen("missing '%s'" % closer, top.filename,
+                          *line_col(source, opener.pos))
 
 
 def parse_text(source: str, filename: str | None = None) -> list[SExpr]:
     """Parse a whole source into its sequence of top-level expressions."""
     tokens = iter(tokenize(source, filename))  # looked up per call: the bench wraps it
     out = []
+    line, counted = 1, 0  # each form's line is counted on from the previous form's
     for tok in tokens:
         kind = tok.kind
-        loc = Loc(filename, tok.line, tok.col)
+        line, col = line_col(source, tok.pos, counted, line)
+        counted = tok.pos
+        loc = Loc(filename, line, col)
         if kind == "(" or kind == "[":
-            expr = _parse_items(tokens, tok, loc, 1)
+            expr = _parse_items(tokens, tok, loc, 1, source)
         elif kind == ")" or kind == "]":
-            raise UnbalancedParen("unmatched '%s'" % kind, filename, tok.line, tok.col)
+            raise UnbalancedParen("unmatched '%s'" % kind, filename, line, col)
         else:
             expr = _atom(kind, tok.value)
         expr.loc = loc

@@ -144,11 +144,6 @@ def _covered_count(analysis: MdAnalysis, ids) -> int:
     return sum(analysis.store.get(i).count for i in ids)
 
 
-def pattern_similarity(a: MdAnalysis, b: MdAnalysis, expand_iterators=False) -> float:
-    p = len(common_patterns(a, b, expand_iterators))
-    return pattern_similarity_pct(a.store.pattern_count, b.store.pattern_count, p)
-
-
 def expression_similarity(a: MdAnalysis, b: MdAnalysis, expand_iterators=False) -> PairReport:
     common = common_patterns(a, b, expand_iterators)
     p = len(common)

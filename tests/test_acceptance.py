@@ -207,7 +207,8 @@ def test_criterion_6_motivating_example_golden():
     checks = [len(common) == 1]
     text = mips.store.get(common[0][0]).pattern.canonical_text
     checks.append(text == "[(set $arg0 (plus:$mode0 $arg1 $arg2))]")
-    checks.append(abs(similarity.pattern_similarity(mips, arm) - 100.0) < 1e-9)
+    pct = similarity.expression_similarity(mips, arm).pattern_similarity_pct
+    checks.append(abs(pct - 100.0) < 1e-9)
     checks.append(mips.bindings[0].assignments == [
         ("$mode0", "GPR"),
         ("$arg0", '(match_operand:GPR 0 "register_operand")'),

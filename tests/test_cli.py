@@ -193,6 +193,43 @@ def test_stats_stray_closing_brace_is_parse_error(tmp_path, capsys):
     assert "bad.md:2:1: unmatched '}'" in err
 
 
+def _manifest_with_empty_archs(tmp_path, names):
+    # arch `a` has one template; every other arch has none
+    for name in "abc":
+        (tmp_path / ("%s.md" % name)).write_text(
+            '(define_insn "x" [(set (reg 0) (reg 1))] "" "")\n' if name == "a"
+            else "(define_constants [(X 1)])\n")
+    (tmp_path / "m.txt").write_text("".join("%s = %s.md\n" % (n, n) for n in names))
+    return str(tmp_path / "m.txt")
+
+
+@pytest.mark.parametrize("expand", [[], ["--expand-iterators"]], ids=["plain", "expand"])
+@pytest.mark.parametrize("pair,message", [
+    (("a", "b"), "b: target has no expressions"),
+    (("b", "a"), "b: target has no expressions"),
+    (("b", "c"), "b, c: no patterns on either side"),
+])
+def test_compare_with_an_empty_arch_is_a_parse_error(tmp_path, capsys, expand, pair, message):
+    manifest = _manifest_with_empty_archs(tmp_path, "abc")
+    code, out, err = run(capsys, "compare", *pair, "--manifest", manifest, *expand)
+    assert (code, out, err) == (EXIT_PARSE, "", "mdpattern: %s\n" % message)
+
+
+@pytest.mark.parametrize("metric,names,message", [
+    ("coverage", "ab", "b: target has no expressions"),
+    ("pattern", "bc", "b, c: no patterns on either side"),
+    ("expr", "abc", "b, c: no patterns on either side"),
+])
+def test_matrix_with_empty_archs_is_a_parse_error(tmp_path, capsys, metric, names, message):
+    manifest = _manifest_with_empty_archs(tmp_path, names)
+    code, out, err = run(capsys, "matrix", "--metric", metric, "--manifest", manifest)
+    assert (code, out, err) == (EXIT_PARSE, "", "mdpattern: %s\n" % message)
+    # one empty arch beside a non-empty one has defined symmetric metrics
+    code, _, _ = run(capsys, "matrix", "--metric", metric, "--manifest",
+                     _manifest_with_empty_archs(tmp_path, "ac"))
+    assert code == (EXIT_PARSE if metric == "coverage" else EXIT_OK)
+
+
 def _one_form_manifest(tmp_path, source):
     (tmp_path / "one.md").write_text(source)
     (tmp_path / "m.txt").write_text("one = one.md\n")

@@ -62,7 +62,7 @@ def test_binding_origin_is_file_and_line(tmp_path, table):
     path = tmp_path / "f.md"
     path.write_text(";; one\n\n" + ADD_EXPAND)
     a = analyze_file(path, "f", table)
-    assert [b.origin for b in a.bindings] == ["%s:4" % path]
+    assert [b.origin for b in a.bindings] == [sexpr.Loc(str(path), 4, 1)]
 
 
 def test_bare_top_level_symbol_reports_its_position():

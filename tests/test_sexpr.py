@@ -1,9 +1,14 @@
+import os
+from collections import namedtuple
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdpattern import sexpr
+from conftest import DATA
+from mdpattern import md_reader, sexpr
 from mdpattern.sexpr import (BraceBlock, Integer, SList, StringLit, SVector,
-                             Symbol, parse_one, parse_text, serialize, tokenize)
+                             Symbol, line_col, parse_one, parse_text, serialize,
+                             tokenize)
 
 
 def kinds(toks):
@@ -43,10 +48,12 @@ def test_tokenize_brace_block_nested():
 
 
 def test_tokenize_locations_monotonic():
-    toks = tokenize("(a\n  b c)\n(d)")
-    posns = [(t.line, t.col) for t in toks]
+    src = "(a\n  b c)\n(d)"
+    toks = tokenize(src)
+    assert [t.pos for t in toks] == [0, 1, 5, 7, 8, 10, 11, 12]
+    posns = [line_col(src, t.pos) for t in toks]
     assert posns == sorted(posns)
-    assert toks[0].line == 1 and toks[2].line == 2
+    assert posns[0] == (1, 1) and posns[2] == (2, 3)
 
 
 @pytest.mark.parametrize(
@@ -274,6 +281,10 @@ def reference_tokenize(source, filename=None):
     return toks
 
 
+def _tokenize_with_line_col(source, filename):
+    return [(t.kind, t.value, *line_col(source, t.pos)) for t in tokenize(source, filename)]
+
+
 def _lex_outcome(lexer, source):
     """The token tuples, or the error's class, message and location."""
     try:
@@ -297,7 +308,8 @@ _LEX_ALPHABET = '()[]{};"\\/*-01a: \t\r\n'
 @example("a;/* not a comment\n;\n/* ; \" ( */b")
 @example("\u0663 -\u0663 \x1c\xa0 \f\v")  # non-ASCII digits; space only by the list
 def test_tokenize_matches_per_character_reference(source):
-    assert _lex_outcome(tokenize, source) == _lex_outcome(reference_tokenize, source)
+    assert (_lex_outcome(_tokenize_with_line_col, source)
+            == _lex_outcome(reference_tokenize, source))
 
 
 @pytest.mark.parametrize("source,error,line,col,msg", [
@@ -316,9 +328,10 @@ def test_lex_error_locations(source, error, line, col, msg):
 
 
 def test_columns_count_characters():
-    toks = tokenize('\t(a\r\n\t"x\ny" \fb)')
-    assert [(t.kind, t.line, t.col) for t in toks] == [
+    src = '\t(a\r\n\t"x\ny" \fb)'
+    assert [(t.kind, *line_col(src, t.pos)) for t in tokenize(src)] == [
         ("(", 1, 2), ("symbol", 1, 3), ("string", 2, 2), ("symbol", 3, 5), (")", 3, 6)]
+    assert line_col("a\rb\rc", 4) == (1, 5)  # a lone CR ends no line
 
 
 def _reference_escape(s):
@@ -337,6 +350,7 @@ def test_escape_string_matches_per_character_reference(s):
 # Property: the one-loop-per-level parser agrees with a per-token one
 
 _REF_CLOSER = {"(": ")", "[": "]"}
+_RefToken = namedtuple("_RefToken", "kind value line col")
 
 
 def _reference_parse_expr(toks, i, filename):
@@ -369,8 +383,9 @@ def _reference_parse_expr(toks, i, filename):
 
 
 def reference_parse_text(source, filename=None):
-    """The parser as one recursive call per token, kept as an oracle."""
-    toks = tokenize(source, filename)
+    """The parser as one recursive call per token over the reference
+    tokenizer's own lines and columns, kept as an oracle."""
+    toks = [_RefToken(*t) for t in reference_tokenize(source, filename)]
     out = []
     i = 0
     while i < len(toks):
@@ -431,3 +446,20 @@ def test_parse_text_matches_per_token_reference(source):
         for expr, loc in outcome:
             assert loc is not None
             assert all(node.loc is None for node in _nested_nodes(expr))
+
+
+@pytest.mark.parametrize("name", ["lex.md", "lex-crlf.md"])
+def test_top_level_locs_of_the_lex_corpus_match_the_reference(name):
+    # each form's line is counted on from the previous form's
+    forms = md_reader.load_md_file(DATA / "lex" / "lex.md")
+    with open(DATA / "lex" / name, encoding="latin-1", newline="") as fh:
+        source = fh.read()
+    toks = reference_tokenize(source)
+    expected, depth = [], 0
+    for i, (kind, _, line, col) in enumerate(toks):
+        if depth == 0 and toks[i + 1][1] != "include":  # spliced in place
+            expected.append((line, col))
+        depth += (kind in ("(", "[")) - (kind in (")", "]"))
+    got = [(f.origin.line, f.origin.col) for f in forms
+           if os.path.basename(f.origin.filename) == name]
+    assert got == expected and len(expected) >= 2

@@ -7,7 +7,7 @@ from mdpattern.pattern import MdAnalysis, PatternStore, RtlPattern
 from mdpattern.similarity import (BothEmpty, EmptyTarget, common_patterns,
                                   coverage_pct, expression_similarity,
                                   expression_similarity_pct,
-                                  pattern_similarity, pattern_similarity_pct,
+                                  pattern_similarity_pct,
                                   similarity_matrix, target_coverage)
 
 
@@ -52,8 +52,8 @@ def test_empty_denominators():
 
 def test_self_comparison_is_total(alpha):
     assert len(common_patterns(alpha, alpha)) == alpha.store.pattern_count
-    assert pattern_similarity(alpha, alpha) == pytest.approx(100.0)
     rep = expression_similarity(alpha, alpha)
+    assert rep.pattern_similarity_pct == pytest.approx(100.0)
     assert rep.expression_similarity_pct == pytest.approx(100.0)
     assert rep.covered_expr_a == rep.covered_expr_b == alpha.expr_count
     covered, pct = target_coverage(alpha, alpha)
@@ -66,14 +66,15 @@ def test_disjoint_corpora(table):
     b = pattern.analyze(md_reader.parse_md(
         '(define_insn "y" [(unspec [(reg 0)] 1)] "" "")'), table, "b")
     assert common_patterns(a, b) == []
-    assert pattern_similarity(a, b) == 0.0
-    assert expression_similarity(a, b).expression_similarity_pct == 0.0
+    rep = expression_similarity(a, b)
+    assert rep.pattern_similarity_pct == 0.0
+    assert rep.expression_similarity_pct == 0.0
 
 
 def test_symmetry(alpha, beta):
-    assert pattern_similarity(alpha, beta) == pytest.approx(pattern_similarity(beta, alpha))
     ab = expression_similarity(alpha, beta)
     ba = expression_similarity(beta, alpha)
+    assert ab.pattern_similarity_pct == pytest.approx(ba.pattern_similarity_pct)
     assert ab.expression_similarity_pct == pytest.approx(ba.expression_similarity_pct)
     assert (ab.covered_expr_a, ab.covered_expr_b) == (ba.covered_expr_b, ba.covered_expr_a)
 
