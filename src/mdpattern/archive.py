@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import re
 
-from . import sexpr
+from . import Error, sexpr
 from .pattern import MdAnalysis, ParamBinding, PatternStore, RtlPattern, substitute
 from .sexpr import SExprError, SList, SVector, Symbol
 
 
-class ArchiveError(Exception):
+class ArchiveError(Error):
     pass
 
 
@@ -186,7 +186,7 @@ def read_archives(pattern_text: str, param_text: str):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split(" ")
-        if len(fields) < 3 or not fields[0].isdigit():
+        if len(fields) < 3 or not fields[0].isdecimal():
             raise MalformedEntry(lineno, line)
         pid = int(fields[0])
         if pid not in known:

@@ -3,7 +3,8 @@
 ``mdpattern <stats|extract|split|compare|matrix|recombine|merge|verify>``
 
 Exit codes: 0 success, 1 usage error, 2 parse failure, 3 verification
-failure.
+failure.  Every failure is a `mdpattern.Error`: `_run` prints it as
+``mdpattern: <message>`` and exits with its `status`.
 
 Every command is a process of its own, so each subcommand imports only the
 layers it uses.  Layer functions are called through their module, so a
@@ -20,6 +21,8 @@ import gc
 import os
 import sys
 
+from . import Error
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -33,12 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class CliError(Exception):
-    def __init__(self, msg, code=EXIT_USAGE):
-        super().__init__(msg)
-        self.code = code
-
-
 def _apply_overrides(entries, args):
     if args.no_includes:
         for e in entries:
@@ -46,7 +43,7 @@ def _apply_overrides(entries, args):
     if args.heads:
         head_set = frozenset(h for h in args.heads.split(",") if h)
         if not head_set:
-            raise CliError("--heads needs a non-empty list")
+            raise Error("--heads needs a non-empty list", EXIT_USAGE)
         for e in entries:
             e.considered_heads = head_set
     return entries
@@ -55,12 +52,11 @@ def _apply_overrides(entries, args):
 def _analyze_manifest(args, names=None):
     """Analyze the named architectures of --manifest (all by default)."""
     from . import md_reader, pattern, rtl
-    from .sexpr import SExprError
 
     try:
         table = rtl.RtxCodeTable.load()
-    except (OSError, rtl.RtlError) as exc:
-        raise CliError("code table: %s" % exc, EXIT_PARSE)
+    except rtl.RtlError as exc:
+        raise Error("code table: %s" % exc)
     analyses = []
     for entry in _load_entries(args, names):
         try:
@@ -68,24 +64,20 @@ def _analyze_manifest(args, names=None):
                                            entry.considered_heads)
             analyses.append(pattern.analyze(forms, table, entry.name,
                                             include_bin_arith=not args.no_bin_arith))
-        except (OSError, md_reader.MdReaderError, SExprError) as exc:
-            raise CliError("%s: %s" % (entry.name, exc), EXIT_PARSE)
+        except (OSError, Error) as exc:
+            raise Error("%s: %s" % (entry.name, exc))
     return analyses
 
 
 def _load_entries(args, names=None):
-    from .manifest import ManifestError, load_manifest
+    from .manifest import load_manifest
 
-    try:
-        entries = load_manifest(args.manifest)
-    except (OSError, ManifestError) as exc:
-        raise CliError(str(exc))
-    entries = _apply_overrides(entries, args)
+    entries = _apply_overrides(load_manifest(args.manifest), args)
     if names:
         by_name = {e.name: e for e in entries}
         missing = [n for n in names if n not in by_name]
         if missing:
-            raise CliError("not in manifest: %s" % ", ".join(missing))
+            raise Error("not in manifest: %s" % ", ".join(missing), EXIT_USAGE)
         entries = [by_name[n] for n in names]
     return entries
 
@@ -96,11 +88,20 @@ def _emit_json(data, out):
     _emit(json.dumps(data, indent=2) + "\n", out)
 
 
-def _emit(text, out):
+def _emit(text, out=None):
+    """Write `text` to the file `out`, or to stdout; every stdout write of a
+    command goes through here."""
     if out:
-        _write_file(out, text)
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        return _write_file(out, text)
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # give the interpreter's flush at exit a stdout that takes the rest
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise Error("<stdout>: %s" % exc.strerror, EXIT_USAGE)
 
 
 def _write_file(path, text):
@@ -108,15 +109,7 @@ def _write_file(path, text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliError("%s: %s" % (path, exc.strerror))
-
-
-def _read_archive(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise CliError("%s: %s" % (path, exc), EXIT_PARSE) from None
+        raise Error("%s: %s" % (path, exc.strerror), EXIT_USAGE)
 
 
 def _fmt_table(headers, rows):
@@ -163,12 +156,12 @@ def cmd_extract(args):
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
-        raise CliError("%s: %s" % (exc.filename, exc.strerror))
+        raise Error("%s: %s" % (exc.filename, exc.strerror), EXIT_USAGE)
     ppath = os.path.join(args.out_dir, "%s.patterns" % analysis.arch_name)
     mpath = os.path.join(args.out_dir, "%s.params" % analysis.arch_name)
     _write_file(ppath, archive.write_pattern_file(analysis))
     _write_file(mpath, archive.write_param_file(analysis))
-    print("wrote %s and %s" % (ppath, mpath))
+    _emit("wrote %s and %s\n" % (ppath, mpath))
     return EXIT_OK
 
 
@@ -215,7 +208,7 @@ def cmd_compare(args):
 def _undefined(exc, analyses):
     # a percentage over no expressions: name the architectures that have none
     empty = dict.fromkeys(a.arch_name for a in analyses if not a.expr_count)
-    return CliError("%s: %s" % (", ".join(empty), exc), EXIT_PARSE)
+    return Error("%s: %s" % (", ".join(empty), exc))
 
 
 def cmd_matrix(args):
@@ -223,7 +216,7 @@ def cmd_matrix(args):
 
     analyses = _analyze_manifest(args)
     if len(analyses) < 2:
-        raise CliError("matrix needs at least two architectures")
+        raise Error("matrix needs at least two architectures", EXIT_USAGE)
     try:
         rep = similarity.similarity_matrix(analyses, args.metric, args.expand_iterators)
     except similarity.SimilarityError as exc:
@@ -246,48 +239,36 @@ def cmd_matrix(args):
 
 
 def cmd_recombine(args):
-    from . import archive
-    from .pattern import PatternError
+    from . import archive, read_text
 
-    try:
-        ptext = _read_archive(args.patterns)
-        mtext = _read_archive(args.params)
-        store, bindings, _ = archive.read_archives(ptext, mtext)
-        forms = archive.recombine(store, bindings)
-    except (OSError, archive.ArchiveError, PatternError) as exc:
-        raise CliError(str(exc), EXIT_PARSE)
+    store, bindings, _ = archive.read_archives(read_text(args.patterns),
+                                               read_text(args.params))
+    forms = archive.recombine(store, bindings)
     _emit("\n\n".join(f.form_text for f in forms) + ("\n" if forms else ""), args.out)
     return EXIT_OK
 
 
 def cmd_merge(args):
-    from . import archive
+    from . import archive, read_text
 
-    try:
-        pfiles = []
-        for path in args.patterns:
-            pfiles.append(archive.read_pattern_file(_read_archive(path)))
-        merged = archive.merge(pfiles, args.min_count)
-    except (OSError, archive.ArchiveError) as exc:
-        raise CliError(str(exc), EXIT_PARSE)
-    _emit(archive.render_pattern_file(merged), args.out)
+    pfiles = [archive.read_pattern_file(read_text(path)) for path in args.patterns]
+    _emit(archive.render_pattern_file(archive.merge(pfiles, args.min_count)), args.out)
     return EXIT_OK
 
 
 def cmd_verify(args):
     from . import archive
-    from .pattern import PatternError
 
     analyses = _analyze_manifest(args, args.archs or None)
     failed = False
     for a in analyses:
         try:
             missing, extra, changed = archive.verify_roundtrip(a)
-        except (archive.ArchiveError, PatternError) as exc:
-            raise CliError("%s: %s" % (a.arch_name, exc), EXIT_PARSE)
+        except Error as exc:
+            raise Error("%s: %s" % (a.arch_name, exc))
         ok = missing == extra == changed == 0
         failed = failed or not ok
-        print("%s: %d missing / %d extra / %d changed%s"
+        _emit("%s: %d missing / %d extra / %d changed%s\n"
               % (a.arch_name, missing, extra, changed, "" if ok else "  FAIL"))
     return EXIT_VERIFY if failed else EXIT_OK
 
@@ -384,9 +365,9 @@ def _run(argv):
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except CliError as exc:
+    except Error as exc:
         print("mdpattern: %s" % exc, file=sys.stderr)
-        return exc.code
+        return exc.status
 
 
 if __name__ == "__main__":

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import os
 
+from . import Error, read_text
 from .md_reader import DEFAULT_CONSIDERED_HEADS
 
 
-class ManifestError(Exception):
-    pass
+class ManifestError(Error):
+    status = 1  # a usage error
 
 
 class ManifestEntry:
@@ -58,12 +59,7 @@ def parse_manifest(text: str, path: str) -> list[ManifestEntry]:
 
 
 def load_manifest(path: str) -> list[ManifestEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ManifestError("%s: %s" % (path, exc)) from None
-    entries = parse_manifest(text, path)
+    entries = parse_manifest(read_text(path, ManifestError), path)
     for e in entries:
         if not os.path.isfile(e.path):
             raise ManifestError("%s: no such MD file: %s" % (e.name, e.path))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import os
 
-from . import sexpr
+from . import Error, sexpr
 from .sexpr import Loc, SList, StringLit, SVector, Symbol
 
 #: define_* heads whose first bracket vector is an RTL template.
@@ -18,15 +18,8 @@ ITERATOR_HEADS = frozenset(
 )
 
 
-class MdReaderError(Exception):
+class MdReaderError(Error):
     pass
-
-
-def _where(origin: Loc | None) -> str:
-    """The ``file:line:col: `` prefix of an include form's error."""
-    if origin is None:
-        return ""
-    return "%s:%d:%d: " % (origin.filename or "<input>", origin.line, origin.col)
 
 
 class MissingInclude(MdReaderError):
@@ -35,7 +28,8 @@ class MissingInclude(MdReaderError):
     def __init__(self, path, origin: Loc | None = None):
         self.path = path
         self.origin = origin
-        super().__init__("%sincluded file not found: %s" % (_where(origin), path))
+        super().__init__("%sincluded file not found: %s"
+                         % (sexpr.where(*origin) if origin else "", path))
 
 
 class IncludeCycle(MdReaderError):
@@ -45,7 +39,8 @@ class IncludeCycle(MdReaderError):
     def __init__(self, chain, origin: Loc | None = None):
         self.chain = list(chain)
         self.origin = origin
-        super().__init__("%sinclude cycle: %s" % (_where(origin), " -> ".join(self.chain)))
+        super().__init__("%sinclude cycle: %s" % (sexpr.where(*origin) if origin else "",
+                                                  " -> ".join(self.chain)))
 
 
 class MissingTemplateVector(MdReaderError):

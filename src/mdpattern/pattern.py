@@ -12,12 +12,12 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from . import md_reader, rtl, sexpr
+from . import Error, md_reader, rtl, sexpr
 from .md_reader import FormKind, MissingTemplateVector
 from .rtl import RtlExpr, RtxCodeTable, rtl_text
 
 
-class PatternError(Exception):
+class PatternError(Error):
     pass
 
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 import enum
 import os
 
-from . import sexpr
+from . import Error, read_text, sexpr
 from .sexpr import SExpr, SList, SVector, Symbol
 
 
-class RtlError(Exception):
+class RtlError(Error):
     pass
 
 
@@ -126,12 +126,7 @@ class RtxCodeTable:
     @classmethod
     def from_file(cls, path):
         entries = _default_entries()
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise RtlError("%s: %s" % (path, exc)) from None
-        for lineno, raw in enumerate(text.split("\n"), 1):
+        for lineno, raw in enumerate(read_text(path, RtlError).split("\n"), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -10,8 +10,10 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
+from . import Error
 
-class SExprError(Exception):
+
+class SExprError(Error):
     """Base for lexing/parsing failures; carries a source location."""
 
     def __init__(self, msg, filename=None, line=0, col=0):
@@ -19,7 +21,12 @@ class SExprError(Exception):
         self.filename = filename
         self.line = line
         self.col = col
-        super().__init__("%s:%d:%d: %s" % (filename or "<input>", line, col, msg))
+        super().__init__(where(filename, line, col) + msg)
+
+
+def where(filename, line, col) -> str:
+    """The ``file:line:col: `` prefix of a message about a source position."""
+    return "%s:%d:%d: " % (filename or "<input>", line, col)
 
 
 class UnterminatedString(SExprError):

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import itertools
 
+from . import Error
 from .pattern import MdAnalysis
 
 
-class SimilarityError(Exception):
+class SimilarityError(Error):
     pass
 
 

@@ -183,6 +183,24 @@ def test_read_rejects_malformed_pattern_text(text):
     assert ei.value.lineno == 3
 
 
+# '\u00b2' and '\u2460' are digits to str.isdigit but not decimal, and int()
+# rejects them; '\u0663' is the Arabic-Indic digit three
+@pytest.mark.parametrize("pid,ok", [("\u00b2", False), ("\u2460", False), ("\u0663", True)])
+def test_ids_are_decimal_in_both_archives(pid, ok):
+    ptext = "# arch: x\n# total_templates: 1\n%s 1 1 (set $arg0 $arg1)\n" % pid
+    mtext = "%s define_insn a $arg0=x $arg1=y\n" % pid
+    if ok:
+        store, bindings, _ = read_archives(ptext, mtext)
+        assert [e.pattern_id for e in store.entries()] == [b.pattern_id for b in bindings] == [3]
+        return
+    with pytest.raises(MalformedEntry) as ei:
+        read_pattern_file(ptext)
+    assert ei.value.lineno == 3
+    with pytest.raises(MalformedEntry) as ei:
+        read_archives("# arch: x\n# total_templates: 1\n0 1 1 (set $arg0 $arg1)\n", mtext)
+    assert ei.value.lineno == 1
+
+
 def test_read_accepts_pattern_text_at_the_bound():
     text = "(set " * MAX_DEPTH + "$arg0" + ")" * MAX_DEPTH
     pf = read_pattern_file("# arch: x\n# total_templates: 1\n0 %d 1 %s\n" % (MAX_DEPTH, text))

@@ -1,5 +1,8 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -183,6 +186,16 @@ def test_archive_reads_report_the_entry_line(tmp_path, capsys, third):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_PARSE, "")
         assert err.startswith("mdpattern: line 3: malformed entry")
+
+
+def test_a_record_id_that_is_not_decimal_is_a_parse_error(tmp_path, capsys):
+    run(capsys, "extract", "alpha", "--manifest", SYNTH, "--out-dir", str(tmp_path))
+    params = tmp_path / "bad.params"
+    params.write_text("\u00b2 define_insn x\n", encoding="utf-8")
+    code, out, err = run(capsys, "recombine", "--patterns", str(tmp_path / "alpha.patterns"),
+                         "--params", str(params))
+    assert (code, out, err) == (EXIT_PARSE, "",
+                                "mdpattern: line 1: malformed entry: '\u00b2 define_insn x'\n")
 
 
 def test_stats_stray_closing_brace_is_parse_error(tmp_path, capsys):
@@ -544,12 +557,52 @@ def test_extract_into_a_file_is_a_usage_error(tmp_path, capsys):
     assert target.read_text() == ""
 
 
+# a write to stdout that fails ends the command with a message, like an
+# unwritable --out; the interpreter's flush at exit then finds nothing to fail
+
+def _stdout_commands(tmp_path):
+    assert main(["extract", "alpha", "--manifest", SYNTH, "--out-dir", str(tmp_path)]) == 0
+    patterns, params = str(tmp_path / "alpha.patterns"), str(tmp_path / "alpha.params")
+    return [["stats", "--manifest", SYNTH],
+            ["matrix", "--manifest", SYNTH],
+            ["verify", "--manifest", SYNTH],
+            ["extract", "alpha", "--manifest", SYNTH, "--out-dir", str(tmp_path)],
+            ["recombine", "--patterns", patterns, "--params", params],
+            ["merge", patterns]]
+
+
+def _run_with_stdout(stdout, argv):
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "mdpattern", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True)
+    return proc.returncode, proc.stderr
+
+
+def test_a_closed_pipe_on_stdout_is_a_usage_error(tmp_path, capsys):
+    for argv in _stdout_commands(tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = _run_with_stdout(write_end, argv)
+        finally:
+            os.close(write_end)
+        assert result == (EXIT_USAGE, "mdpattern: <stdout>: Broken pipe\n"), argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_is_a_usage_error(tmp_path, capsys):
+    for argv in _stdout_commands(tmp_path)[:4]:
+        with open("/dev/full", "w") as full:
+            result = _run_with_stdout(full, argv)
+        assert result == (EXIT_USAGE, "mdpattern: <stdout>: No space left on device\n"), argv
+
+
 # -- the cyclic collector ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("argv,status", [
     (["stats", "--manifest", SYNTH], EXIT_OK),
-    (["compare", "alpha", "nope", "--manifest", SYNTH], EXIT_USAGE),  # CliError
+    (["compare", "alpha", "nope", "--manifest", SYNTH], EXIT_USAGE),  # mdpattern.Error
     (["stats", "--no-such-flag"], EXIT_USAGE),  # argparse
 ], ids=["returns", "cli-error", "argparse"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -90,6 +91,32 @@ def test_names_read_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_recursion_error_guards(path):
     assert "RecursionError" not in names_read(path.read_text(encoding="utf-8"))
+
+
+# -- one error type --------------------------------------------------------------
+# cli._run reports a mdpattern.Error as `mdpattern: <message>` and exits with its
+# status, so an error a layer defines outside that base would be a traceback.
+
+
+def defined_exceptions(module) -> list:
+    return [obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__]
+
+
+def test_every_error_is_an_mdpattern_error():
+    import mdpattern
+
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "__main__":  # that one runs the CLI
+            module = importlib.import_module(
+                "mdpattern" if path.stem == "__init__" else "mdpattern." + path.stem)
+            found.update((cls.__name__, cls) for cls in defined_exceptions(module))
+    assert {"Error", "SExprError", "MdReaderError", "RtlError", "PatternError",
+            "ArchiveError", "SimilarityError", "ManifestError"} <= set(found)
+    for name, cls in found.items():
+        assert issubclass(cls, mdpattern.Error) and cls.status in (1, 2), name
 
 
 # -- startup cost ------------------------------------------------------------
