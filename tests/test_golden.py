@@ -1,11 +1,16 @@
 """Golden CLI outputs: every report the CLI prints must stay byte-identical.
 
-The expected outputs live in ``tests/data/golden/<corpus>/``.  To record
-them again after an intended output change, run::
+The expected outputs live in ``tests/data/golden/<corpus>/``, and the
+sha256 of every output of one benchmark repetition on the seed-1 corpora in
+``tests/data/golden/bench-seed1.sha256``.  To record them again after an
+intended output change, run::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import hashlib
+import io
 import os
 import sys
 from pathlib import Path
@@ -13,10 +18,15 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "mdbench"))
+import corpus  # noqa: E402
+import run as bench  # noqa: E402
 from conftest import DATA  # noqa: E402
 from mdpattern.cli import main  # noqa: E402
 
 GOLDEN = DATA / "golden"
+BENCH_DIGESTS = GOLDEN / "bench-seed1.sha256"
+BENCH_WORKLOADS = ("iterators", "survey")
 CORPORA = {"synth": ("alpha", "beta"), "fig2": ("mips", "arm"), "iter": ("iota", "kappa"),
            "lex": ("lex", "flat")}
 #: Corpora whose expanded reports are also recorded with the two archs
@@ -91,9 +101,47 @@ def test_cli_outputs_match_golden(corpus, capsys, tmp_path):
         assert data == (GOLDEN / corpus / name).read_bytes(), name
 
 
+def _stdout_bytes(argv):
+    """The bytes that `main(argv)` writes to stdout, which must exit 0."""
+    raw = io.BytesIO()
+    out = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    out.flush()
+    return raw.getvalue()
+
+
+def _bench_digests(work):
+    """'<workload>/<output>' -> sha256 of each output of one benchmark
+    repetition (`run.plan`) on the workload's seed-1 corpus, run in process:
+    every report on stdout, and each archive that `extract` writes."""
+    digests = {}
+    for workload in BENCH_WORKLOADS:
+        c = corpus.generate(workload, 1)
+        c.write(str(work / workload / "corpus"))
+        archives = work / workload / "archives"
+        for step in bench.plan(c, work / workload / "corpus" / "manifest.txt", archives):
+            if step.group == "extract":
+                _stdout_bytes(step.args)
+                outputs = {name: (archives / name).read_bytes()
+                           for name in (step.args[1] + ".patterns", step.args[1] + ".params")}
+            else:
+                outputs = {step.label: _stdout_bytes(step.args)}
+            for name, data in outputs.items():
+                digests["%s/%s" % (workload, name)] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def _read_digests():
+    lines = BENCH_DIGESTS.read_text(encoding="utf-8").splitlines()
+    return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+
+
+def test_bench_outputs_match_recorded_digests(tmp_path):
+    assert _bench_digests(tmp_path) == _read_digests()
+
+
 def _record():
-    import contextlib
-    import io
     import tempfile
 
     for corpus in sorted(CORPORA):
@@ -109,6 +157,10 @@ def _record():
             outputs = _archive_outputs(corpus, Path(work))
         for name, data in outputs.items():
             (target / name).write_bytes(data)
+    with tempfile.TemporaryDirectory() as work:
+        digests = _bench_digests(Path(work))
+    BENCH_DIGESTS.write_text("".join("%s  %s\n" % (digests[name], name)
+                                     for name in sorted(digests)), encoding="utf-8")
 
 
 if __name__ == "__main__":
