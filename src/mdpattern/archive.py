@@ -243,16 +243,22 @@ def template_tokens(text: str) -> list:
     return [tok[:2] for tok in sexpr.tokenize(text)]
 
 
-def verify_roundtrip(analysis: MdAnalysis) -> tuple[int, int, int]:
-    """Split, recombine, and compare against the analyzed expressions.
+def verify_roundtrip(analysis: MdAnalysis, forms) -> tuple[int, int, int]:
+    """Split, recombine, and compare each recombined template with
+    `sexpr.serialize` of its form's template vector; `forms` are the forms
+    analyzed, and each binding's origin names its form.
 
     Returns (missing, extra, changed) counts; all zero on success.
     """
+    from .md_reader import extract_template_vector
+
     store, bindings, _ = read_archives(
         write_pattern_file(analysis), write_param_file(analysis)
     )
     regen = recombine(store, bindings)
-    orig = analysis.source_texts
+    by_origin = {f.origin: f for f in forms}
+    orig = [sexpr.serialize(extract_template_vector(by_origin[b.origin]))
+            for b in analysis.bindings]
     got = [r.template_text for r in regen]
     # equal texts have equal tokens, so only differing texts are lexed
     changed = sum(1 for o, g in zip(orig, got)

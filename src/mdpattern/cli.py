@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import operator
 import os
 import sys
 
@@ -30,6 +31,9 @@ EXIT_VERIFY = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def print_help(self):
+        _emit(self.format_help())  # argparse would drop a failed write silently
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print("%s: error: %s" % (self.prog, message), file=sys.stderr)
@@ -50,23 +54,28 @@ def _apply_overrides(entries, args):
 
 
 def _analyze_manifest(args, names=None):
-    """Analyze the named architectures of --manifest (all by default)."""
+    """The analyses of the named architectures of --manifest (all by default);
+    no architecture's forms are kept while the next one is analyzed."""
+    return list(map(operator.itemgetter(1), _each_arch(args, names)))
+
+
+def _each_arch(args, names=None):
+    """Yield (forms, analysis) for each named architecture of --manifest."""
     from . import md_reader, pattern, rtl
 
     try:
         table = rtl.RtxCodeTable.load()
     except rtl.RtlError as exc:
         raise Error("code table: %s" % exc)
-    analyses = []
     for entry in _load_entries(args, names):
         try:
             forms = md_reader.load_md_file(entry.path, entry.resolve_includes,
                                            entry.considered_heads)
-            analyses.append(pattern.analyze(forms, table, entry.name,
-                                            include_bin_arith=not args.no_bin_arith))
+            analysis = pattern.analyze(forms, table, entry.name,
+                                       include_bin_arith=not args.no_bin_arith)
         except (OSError, Error) as exc:
             raise Error("%s: %s" % (entry.name, exc))
-    return analyses
+        yield forms, analysis
 
 
 def _load_entries(args, names=None):
@@ -89,12 +98,18 @@ def _emit_json(data, out):
 
 
 def _emit(text, out=None):
-    """Write `text` to the file `out`, or to stdout; every stdout write of a
-    command goes through here."""
+    """Write `text` to the file `out`, or to stdout: bytes as they are, a str
+    in UTF-8 to a file and in stdout's encoding to stdout.  Every stdout
+    write of a command goes through here."""
     if out:
         return _write_file(out, text)
     try:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        if isinstance(text, str):
+            sys.stdout.write(text)
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.buffer.write(text)
+        else:  # a text stream without bytes, such as io.StringIO
+            sys.stdout.write(text.decode("latin-1"))
         sys.stdout.flush()
     except OSError as exc:
         # give the interpreter's flush at exit a stdout that takes the rest
@@ -106,8 +121,8 @@ def _emit(text, out=None):
 
 def _write_file(path, text):
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(text if isinstance(text, bytes) else text.encode())
     except OSError as exc:
         raise Error("%s: %s" % (path, exc.strerror), EXIT_USAGE)
 
@@ -244,7 +259,13 @@ def cmd_recombine(args):
     store, bindings, _ = archive.read_archives(read_text(args.patterns),
                                                read_text(args.params))
     forms = archive.recombine(store, bindings)
-    _emit("\n\n".join(f.form_text for f in forms) + ("\n" if forms else ""), args.out)
+    text = "\n\n".join(f.form_text for f in forms) + "\n"
+    try:
+        data = text.encode("latin-1")  # the inverse of how MD files are read
+    except UnicodeEncodeError as exc:
+        raise Error("recombined forms hold %r, which no MD file holds: MD files "
+                    "are Latin-1" % exc.object[exc.start])
+    _emit(data, args.out)
     return EXIT_OK
 
 
@@ -259,17 +280,18 @@ def cmd_merge(args):
 def cmd_verify(args):
     from . import archive
 
-    analyses = _analyze_manifest(args, args.archs or None)
+    lines = []  # printed once every architecture has been analyzed
     failed = False
-    for a in analyses:
+    for forms, a in _each_arch(args, args.archs or None):
         try:
-            missing, extra, changed = archive.verify_roundtrip(a)
+            counts = archive.verify_roundtrip(a, forms)
         except Error as exc:
             raise Error("%s: %s" % (a.arch_name, exc))
-        ok = missing == extra == changed == 0
-        failed = failed or not ok
-        _emit("%s: %d missing / %d extra / %d changed%s\n"
-              % (a.arch_name, missing, extra, changed, "" if ok else "  FAIL"))
+        failed = failed or any(counts)
+        lines.append("%s: %d missing / %d extra / %d changed%s\n"
+                     % (a.arch_name, *counts, "  FAIL" if any(counts) else ""))
+    for line in lines:
+        _emit(line)
     return EXIT_VERIFY if failed else EXIT_OK
 
 
@@ -358,13 +380,11 @@ def main(argv=None) -> int:
 
 
 def _run(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's, after --help or a usage error
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except Error as exc:
         print("mdpattern: %s" % exc, file=sys.stderr)
         return exc.status

@@ -25,22 +25,20 @@ class MdReaderError(Error):
 class MissingInclude(MdReaderError):
     """An include form whose file is missing, or that names no file."""
 
-    def __init__(self, path, origin: Loc | None = None):
+    def __init__(self, path, origin: Loc):
         self.path = path
         self.origin = origin
-        super().__init__("%sincluded file not found: %s"
-                         % (sexpr.where(*origin) if origin else "", path))
+        super().__init__(sexpr.where(*origin) + "included file not found: " + path)
 
 
 class IncludeCycle(MdReaderError):
     """An include form that names a file already being read; the chain runs
     from the root file to that file."""
 
-    def __init__(self, chain, origin: Loc | None = None):
+    def __init__(self, chain, origin: Loc):
         self.chain = list(chain)
         self.origin = origin
-        super().__init__("%sinclude cycle: %s" % (sexpr.where(*origin) if origin else "",
-                                                  " -> ".join(self.chain)))
+        super().__init__(sexpr.where(*origin) + "include cycle: " + " -> ".join(self.chain))
 
 
 class MissingTemplateVector(MdReaderError):
@@ -57,16 +55,15 @@ class FormKind(enum.Enum):
 class TopLevelForm:
     __slots__ = ("kind", "head", "name", "body", "origin")
 
-    def __init__(self, kind: FormKind, head: str, name: str, body: SList,
-                 origin: Loc | None = None):
+    def __init__(self, kind: FormKind, head: str, name: str, body: SList, origin: Loc):
         self.kind = kind
         self.head = head
         self.name = name  # first string argument of the define, '' if absent
         self.body = body
-        self.origin = origin
+        self.origin = origin  # the one place the form's location is kept
 
 
-def classify(body: SList, considered_heads=DEFAULT_CONSIDERED_HEADS) -> TopLevelForm:
+def classify(origin: Loc, body: SList, considered_heads=DEFAULT_CONSIDERED_HEADS) -> TopLevelForm:
     head = body.items[0].text if body.items and isinstance(body.items[0], Symbol) else ""
     name = ""
     if len(body.items) > 1 and isinstance(body.items[1], StringLit):
@@ -81,16 +78,16 @@ def classify(body: SList, considered_heads=DEFAULT_CONSIDERED_HEADS) -> TopLevel
         kind = FormKind.INCLUDE
     else:
         kind = FormKind.IGNORED
-    return TopLevelForm(kind, head, name, body, body.loc)
+    return TopLevelForm(kind, head, name, body, origin)
 
 
 def parse_md(source: str, origin: str | None = None,
              considered_heads=DEFAULT_CONSIDERED_HEADS) -> list[TopLevelForm]:
     forms = []
-    for expr in sexpr.parse_text(source, origin):
+    for loc, expr in sexpr.parse_text(source, origin):
         if not isinstance(expr, SList):
-            raise sexpr.UnexpectedToken("top-level form is not a list", *expr.loc)
-        forms.append(classify(expr, considered_heads))
+            raise sexpr.UnexpectedToken("top-level form is not a list", *loc)
+        forms.append(classify(loc, expr, considered_heads))
     return forms
 
 
@@ -154,8 +151,5 @@ def extract_template_vector(form: TopLevelForm) -> SVector:
     for item in form.body.items[1:]:
         if isinstance(item, SVector):
             return item
-    loc = form.origin
-    raise MissingTemplateVector(
-        "%s %r at %s has no template vector"
-        % (form.head, form.name, "%s:%s" % (loc.filename, loc.line) if loc else "?")
-    )
+    raise MissingTemplateVector("%s %r at %s:%s has no template vector"
+                                % (form.head, form.name, *form.origin[:2]))

@@ -50,17 +50,17 @@ def extract_pattern(tree: RtlExpr, table: RtxCodeTable, retained: frozenset,
     """Abstract one expression tree in a single walk.
 
     `retained` holds the operator codes that stay in the pattern; every
-    other subtree becomes a hole.  Returns (RtlPattern, assignments, source
-    text).  Holes are numbered per kind by first pre-order (= textual)
-    occurrence, so the text is canonical; assignments list the hole values
-    in mode-then-arg order, and substituting them back reproduces the
-    source text, the tree's single-space rendering.
+    other subtree becomes a hole.  Returns (RtlPattern, assignments).  Holes
+    are numbered per kind by first pre-order (= textual) occurrence, so the
+    text is canonical; assignments list the hole values in mode-then-arg
+    order, and substituting them back gives the tree's single-space
+    rendering.
     """
     walk = _Walk(table, retained, unknown_codes)
-    text, source, h = walk.node(tree)
+    text, h = walk.node(tree)
     assignments = [(name, value) for holes in (walk.mode_map, walk.arg_map)
                    for value, name in holes.items()]
-    return RtlPattern(text, max(1, h)), assignments, source
+    return RtlPattern(text, max(1, h)), assignments
 
 
 def _hole(names, kind, text):
@@ -81,36 +81,27 @@ class _Walk:
         self.arg_map: dict[str, str] = {}
         self.mode_map: dict[str, str] = {}
 
-    def nodes(self, nodes, texts, sources):
-        # appends each node's pattern and source text; returns the max height
-        h = 0
-        for node in nodes:
-            text, source, node_h = self.node(node)
-            texts.append(text)
-            sources.append(source)
-            h = max(h, node_h)
-        return h
-
     def node(self, node):
-        # (pattern text, source text, height) of one node; a hole has height 1
-        if node.is_vector:
-            texts, sources = [], []
-            h = self.nodes(node.children, texts, sources)
-            return "[%s]" % " ".join(texts), "[%s]" % " ".join(sources), h
+        # (pattern text, height) of one node; a hole has height 1
         code = node.code
-        if code in self.retained:
-            head = pattern_head = code
-            if node.mode is not None:
-                head += ":" + node.mode
-                pattern_head += ":" + _hole(self.mode_map, "mode", node.mode)
-            texts, sources = [pattern_head], [head]
-            h = self.nodes(node.children, texts, sources)
-            return "(%s)" % " ".join(texts), "(%s)" % " ".join(sources), 1 + h
-        unknown_codes = self.unknown_codes
-        if code is not None and unknown_codes is not None and self.table.rtx_class(code) is None:
-            unknown_codes[code] += 1
-        source = rtl_text(node)
-        return _hole(self.arg_map, "arg", source), source, 1
+        if node.is_vector:
+            texts = []
+        elif code in self.retained:
+            texts = [code if node.mode is None
+                     else code + ":" + _hole(self.mode_map, "mode", node.mode)]
+        else:
+            unknown_codes = self.unknown_codes
+            if code is not None and unknown_codes is not None and self.table.rtx_class(code) is None:
+                unknown_codes[code] += 1
+            return _hole(self.arg_map, "arg", rtl_text(node)), 1
+        h = 0
+        for child in node.children:
+            text, child_h = self.node(child)
+            texts.append(text)
+            h = max(h, child_h)
+        if node.is_vector:
+            return "[%s]" % " ".join(texts), h
+        return "(%s)" % " ".join(texts), 1 + h
 
 
 # One pass over a pattern text: string literals and (unnested) brace blocks
@@ -219,13 +210,11 @@ class PatternStore:
 class MdAnalysis:
     def __init__(self, arch_name: str, store: PatternStore,
                  bindings: list[ParamBinding], iterators: list[str],
-                 source_texts: list[str] | None = None, diagnostics: dict | None = None,
-                 code_iterators: dict | None = None):
+                 diagnostics: dict | None = None, code_iterators: dict | None = None):
         self.arch_name = arch_name
         self.store = store
         self.bindings = bindings
         self.iterators = iterators  # verbatim iterator definition forms
-        self.source_texts = [] if source_texts is None else source_texts
         self.diagnostics = {} if diagnostics is None else diagnostics
         # name -> member codes
         self.code_iterators = {} if code_iterators is None else code_iterators
@@ -277,7 +266,6 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True) ->
     retained = table.retained(include_bin_arith) | iterators
     store = PatternStore()
     bindings = []
-    source_texts = []
     unknown = Counter()
     skipped = []
     for form in forms:
@@ -286,20 +274,18 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True) ->
         try:
             vec = md_reader.extract_template_vector(form)
             tree = rtl.build_template_tree(vec)
-            pattern, assignments, source_text = extract_pattern(tree, table, retained, unknown)
+            pattern, assignments = extract_pattern(tree, table, retained, unknown)
         except (MissingTemplateVector, rtl.RtlError) as exc:
             skipped.append(str(exc))
             continue
         pid, _ = store.insert(pattern)
         bindings.append(ParamBinding(pid, assignments, form.head, form.name, form.origin))
-        source_texts.append(source_text)
     diagnostics = {"unknown_codes": dict(unknown), "skipped": skipped}
     return MdAnalysis(
         arch_name=arch_name,
         store=store,
         bindings=bindings,
         iterators=verbatim,
-        source_texts=source_texts,
         diagnostics=diagnostics,
         code_iterators=members,
     )

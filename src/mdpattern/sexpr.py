@@ -160,13 +160,12 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
 class SExpr:
     """Base class; concrete variants below, each with one content field.
 
-    Only top-level expressions from `parse_text` carry a source location;
-    every other node's `loc` is None.  Two expressions are equal when they
-    are of one class and their contents are equal; the location does not
-    count.
+    Two expressions are equal when they are of one class and their contents
+    are equal.  A node keeps no location: `parse_text` pairs each top-level
+    expression with its `Loc`.
     """
 
-    __slots__ = ("loc",)
+    __slots__ = ()
     _field = ""  # name of the content field
 
     def __eq__(self, other):
@@ -183,7 +182,6 @@ class Symbol(SExpr):
 
     def __init__(self, text: str):
         self.text = text
-        self.loc = None
 
 
 class Integer(SExpr):
@@ -192,7 +190,6 @@ class Integer(SExpr):
 
     def __init__(self, value: int):
         self.value = value
-        self.loc = None
 
 
 class StringLit(SExpr):
@@ -201,7 +198,6 @@ class StringLit(SExpr):
 
     def __init__(self, text: str):
         self.text = text
-        self.loc = None
 
 
 class BraceBlock(SExpr):
@@ -210,7 +206,6 @@ class BraceBlock(SExpr):
 
     def __init__(self, text: str):
         self.text = text  # verbatim, braces balanced inside
-        self.loc = None
 
 
 class SList(SExpr):
@@ -219,7 +214,6 @@ class SList(SExpr):
 
     def __init__(self, items: list):
         self.items = items
-        self.loc = None
 
 
 class SVector(SExpr):
@@ -228,7 +222,6 @@ class SVector(SExpr):
 
     def __init__(self, items: list):
         self.items = items
-        self.loc = None
 
 
 def _atom(kind, value):
@@ -269,8 +262,9 @@ def _parse_items(tokens, opener, top, depth, source):
                           *line_col(source, opener.pos))
 
 
-def parse_text(source: str, filename: str | None = None) -> list[SExpr]:
-    """Parse a whole source into its sequence of top-level expressions."""
+def parse_text(source: str, filename: str | None = None) -> list[tuple[Loc, SExpr]]:
+    """Parse a whole source into its top-level expressions, each paired with
+    its location."""
     tokens = iter(tokenize(source, filename))  # looked up per call: the bench wraps it
     out = []
     line, counted = 1, 0  # each form's line is counted on from the previous form's
@@ -285,8 +279,7 @@ def parse_text(source: str, filename: str | None = None) -> list[SExpr]:
             raise UnbalancedParen("unmatched '%s'" % kind, filename, line, col)
         else:
             expr = _atom(kind, tok.value)
-        expr.loc = loc
-        out.append(expr)
+        out.append((loc, expr))
     return out
 
 
@@ -294,7 +287,7 @@ def parse_one(source: str, filename: str | None = None) -> SExpr:
     exprs = parse_text(source, filename)
     if len(exprs) != 1:
         raise UnexpectedToken("expected exactly one expression", filename, 1, 1)
-    return exprs[0]
+    return exprs[0][1]
 
 
 def _escape_string(s: str) -> str:

@@ -118,7 +118,7 @@ def test_criterion_3_roundtrip_gcc_corpus():
     for arch in TABLE1:
         forms = md_reader.load_md_file(os.path.join(root, "%s.md" % arch))
         a = pattern.analyze(forms, table, arch)
-        result = archive.verify_roundtrip(a)
+        result = archive.verify_roundtrip(a, forms)
         print("%s: %d missing / %d extra / %d changed" % (arch, *result))
         ok = ok and result == (0, 0, 0)
     report("3-roundtrip-gcc-corpus", ok)
@@ -141,7 +141,7 @@ def test_criterion_4_store_oracle_1000_seeds():
             from mdpattern.rtl import build_template_tree
 
             tree = build_template_tree(md_reader.extract_template_vector(f))
-            p, _, _ = pattern.extract_pattern(tree, table, table.retained(True))
+            p, _ = pattern.extract_pattern(tree, table, table.retained(True))
             texts.append(p.canonical_text)
         unique = []
         for t in texts:

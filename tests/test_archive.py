@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DATA, analyze_file, random_corpus
-from mdpattern import archive, md_reader, pattern, similarity
+from mdpattern import archive, md_reader, pattern, rtl, sexpr, similarity
 from mdpattern.archive import (BadHeader, DanglingPatternId, MalformedEntry,
                                PatternFile, escape_value, merge, read_archives,
                                read_pattern_file, recombine, render_pattern_file,
@@ -16,8 +16,19 @@ from mdpattern.sexpr import MAX_DEPTH
 
 
 @pytest.fixture(scope="module")
-def alpha(table):
-    return analyze_file(DATA / "synth" / "alpha.md", "alpha", table)
+def alpha_forms():
+    return md_reader.load_md_file(str(DATA / "synth" / "alpha.md"))
+
+
+@pytest.fixture(scope="module")
+def alpha(table, alpha_forms):
+    return pattern.analyze(alpha_forms, table, "alpha")
+
+
+def _source_templates(forms):
+    """The parser's rendering of each considered form's template vector."""
+    return [sexpr.serialize(md_reader.extract_template_vector(f)) for f in forms
+            if f.kind is md_reader.FormKind.CONSIDERED]
 
 
 @pytest.fixture()
@@ -229,7 +240,8 @@ def test_recombine_fig2_arm(fig2):
     assert len(forms) == 1
     assert forms[0].form_kind == "define_expand"
     assert forms[0].form_name == "addsi3"
-    assert template_tokens(forms[0].template_text) == template_tokens(arm.source_texts[0])
+    source, = _source_templates(md_reader.load_md_file(str(DATA / "fig2" / "arm.md")))
+    assert template_tokens(forms[0].template_text) == template_tokens(source)
 
 
 def test_recombine_zero_bindings(alpha):
@@ -245,11 +257,28 @@ def test_recombine_arity_mismatch(fig2):
         recombine(store, bindings)
 
 
-def test_verify_full_corpus(alpha):
-    assert verify_roundtrip(alpha) == (0, 0, 0)
+def test_verify_full_corpus(alpha, alpha_forms):
+    assert verify_roundtrip(alpha, alpha_forms) == (0, 0, 0)
 
 
-def test_verify_detects_corruption(alpha):
+def test_verify_finds_a_fault_in_the_rtl_tree(table, monkeypatch):
+    # the tree drops the last operand of every plus; the walk and the
+    # archives are consistent with that tree, the source is not
+    build = rtl.build_rtl_tree
+
+    def drop_last_plus_operand(s):
+        tree = build(s)
+        if tree.code == "plus":
+            tree.children.pop()
+        return tree
+
+    monkeypatch.setattr(rtl, "build_rtl_tree", drop_last_plus_operand)
+    forms = md_reader.load_md_file(str(DATA / "synth" / "alpha.md"))
+    missing, extra, changed = verify_roundtrip(pattern.analyze(forms, table, "alpha"), forms)
+    assert (missing, extra) == (0, 0) and changed > 0
+
+
+def test_verify_detects_corruption(alpha, alpha_forms):
     ptext = write_pattern_file(alpha)
     mtext = write_param_file(alpha)
     store, bindings, _ = read_archives(ptext, mtext)
@@ -258,7 +287,7 @@ def test_verify_detects_corruption(alpha):
         for n, v in bindings[4].assignments
     ]
     regen = recombine(store, bindings)
-    orig = [template_tokens(t) for t in alpha.source_texts]
+    orig = [template_tokens(t) for t in _source_templates(alpha_forms)]
     got = [template_tokens(r.template_text) for r in regen]
     assert sum(1 for o, g in zip(orig, got) if o != g) == 1
 
@@ -266,8 +295,9 @@ def test_verify_detects_corruption(alpha):
 def test_verify_compares_string_literals_exactly(table, monkeypatch):
     source = ('(define_insn "a" [(set (match_operand:SI 0 "reg  op" "=r") (reg:SI 1))] "" "")\n'
               '(define_insn "b" [(set (reg:SI 2) (const_string "x y"))] "" "")\n')
-    a = pattern.analyze(md_reader.parse_md(source), table, "ws")
-    assert verify_roundtrip(a) == (0, 0, 0)
+    forms = md_reader.parse_md(source)
+    a = pattern.analyze(forms, table, "ws")
+    assert verify_roundtrip(a, forms) == (0, 0, 0)
     real = archive.recombine
 
     def collapse_inner_space(store, bindings):
@@ -276,14 +306,14 @@ def test_verify_compares_string_literals_exactly(table, monkeypatch):
         return forms
 
     monkeypatch.setattr(archive, "recombine", collapse_inner_space)
-    assert verify_roundtrip(a) == (0, 0, 1)
+    assert verify_roundtrip(a, forms) == (0, 0, 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_verify_random_corpora(table, seed):
-    a = pattern.analyze(md_reader.parse_md(random_corpus(seed)), table, "rnd")
-    assert verify_roundtrip(a) == (0, 0, 0)
+    forms = md_reader.parse_md(random_corpus(seed))
+    assert verify_roundtrip(pattern.analyze(forms, table, "rnd"), forms) == (0, 0, 0)
 
 
 #: An iterator form whose strings hold '%', two line breakers and a lone CR.

@@ -143,16 +143,15 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     params.write_text(text)
     # recombine still succeeds; verify uses in-memory archives so exercise
     # the changed path through the library here instead
-    from conftest import analyze_file
-    from mdpattern import archive
-    from mdpattern.rtl import RtxCodeTable
+    from mdpattern import archive, md_reader, sexpr
 
-    a = analyze_file(DATA / "synth" / "alpha.md", "alpha", RtxCodeTable.default())
+    forms = md_reader.load_md_file(str(DATA / "synth" / "alpha.md"))
     store, bindings, _ = archive.read_archives(
         (tmp_path / "alpha.patterns").read_text(), text
     )
     regen = archive.recombine(store, bindings)
-    orig = [archive.template_tokens(t) for t in a.source_texts]
+    orig = [archive.template_tokens(sexpr.serialize(md_reader.extract_template_vector(f)))
+            for f in forms if f.kind is md_reader.FormKind.CONSIDERED]
     got = [archive.template_tokens(r.template_text) for r in regen]
     assert sum(1 for o, g in zip(orig, got) if o != g) == 1
 
@@ -386,6 +385,31 @@ def test_form_feed_in_a_string_round_trips(tmp_path, capsys):
     assert '\n  [(set (reg:SI 0) (unspec:SI [(const_string "a\fb")] 1))]\n' in out
 
 
+#: UTF-8 bytes, which the reader takes as two Latin-1 characters each.
+NON_ASCII_TEMPLATE = b'[(set (match_operand:SI 0 "reg_\xc3\xb1" "") (reg:SI 1))]'
+
+
+def test_recombine_writes_back_the_bytes_it_read(tmp_path, capsysbinary):
+    source = b'(define_insn "a\xc3\xb1adir"\n  ' + NON_ASCII_TEMPLATE + b'\n  "" "")\n'
+    (tmp_path / "one.md").write_bytes(source)
+    (tmp_path / "m.txt").write_text("one = one.md\n")
+    assert main(["extract", "one", "--manifest", str(tmp_path / "m.txt"),
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    params = tmp_path / "one.params"
+    argv = ["recombine", "--patterns", str(tmp_path / "one.patterns"), "--params", str(params)]
+    assert main(argv + ["--out", str(tmp_path / "r.md")]) == EXIT_OK
+    capsysbinary.readouterr()
+    assert main(argv) == EXIT_OK
+    out = capsysbinary.readouterr().out
+    assert out == (tmp_path / "r.md").read_bytes()
+    assert out.startswith(source[:source.index(b"]") + 2])
+    # only a hand-edited archive holds a character that no MD file byte reads as
+    params.write_text(params.read_text("utf-8").replace("reg_\xc3\xb1", "reg_\u4e00"), "utf-8")
+    assert main(argv) == EXIT_PARSE
+    err = capsysbinary.readouterr().err.decode()
+    assert err.startswith("mdpattern: ") and "Latin-1" in err
+
+
 def test_verify_reports_an_unreadable_archive(tmp_path, capsys, monkeypatch):
     # an escaping that lets a form feed through breaks the parameter record
     from mdpattern import archive
@@ -563,7 +587,9 @@ def test_extract_into_a_file_is_a_usage_error(tmp_path, capsys):
 def _stdout_commands(tmp_path):
     assert main(["extract", "alpha", "--manifest", SYNTH, "--out-dir", str(tmp_path)]) == 0
     patterns, params = str(tmp_path / "alpha.patterns"), str(tmp_path / "alpha.params")
-    return [["stats", "--manifest", SYNTH],
+    return [["--help"],
+            ["stats", "--help"],
+            ["stats", "--manifest", SYNTH],
             ["matrix", "--manifest", SYNTH],
             ["verify", "--manifest", SYNTH],
             ["extract", "alpha", "--manifest", SYNTH, "--out-dir", str(tmp_path)],
@@ -591,7 +617,7 @@ def test_a_closed_pipe_on_stdout_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_a_full_stdout_is_a_usage_error(tmp_path, capsys):
-    for argv in _stdout_commands(tmp_path)[:4]:
+    for argv in _stdout_commands(tmp_path)[:6]:
         with open("/dev/full", "w") as full:
             result = _run_with_stdout(full, argv)
         assert result == (EXIT_USAGE, "mdpattern: <stdout>: No space left on device\n"), argv

@@ -19,7 +19,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "mdbench"))
-import corpus  # noqa: E402
+import corpus as bench_corpus  # noqa: E402
 import run as bench  # noqa: E402
 from conftest import DATA  # noqa: E402
 from mdpattern.cli import main  # noqa: E402
@@ -117,7 +117,7 @@ def _bench_digests(work):
     every report on stdout, and each archive that `extract` writes."""
     digests = {}
     for workload in BENCH_WORKLOADS:
-        c = corpus.generate(workload, 1)
+        c = bench_corpus.generate(workload, 1)
         c.write(str(work / workload / "corpus"))
         archives = work / workload / "archives"
         for step in bench.plan(c, work / workload / "corpus" / "manifest.txt", archives):

@@ -231,13 +231,13 @@ def test_analyze_builds_and_extracts_each_template_once(monkeypatch):
 def test_bulk_instances_have_no_dict():
     from mdpattern import md_reader, pattern, rtl, sexpr
 
-    expr = sexpr.parse_text('(a 1 "s" {b} [c])', "t.md")[0]
+    loc, expr = sexpr.parse_text('(a 1 "s" {b} [c])', "t.md")[0]
     forms = md_reader.load_md_file(str(Path(SYNTH).parent / "alpha.md"))
     form = next(f for f in forms if f.kind is md_reader.FormKind.CONSIDERED)
     tree = rtl.build_template_tree(md_reader.extract_template_vector(form))
     a = pattern.analyze(forms, rtl.RtxCodeTable.default(), "alpha")
     entry = next(a.store.entries())
-    instances = [expr, *expr.items, expr.loc, tree, tree.children[0], form,
+    instances = [expr, *expr.items, loc, tree, tree.children[0], form,
                  entry, entry.pattern, a.bindings[0]]
     names = {type(obj).__name__ for obj in instances}
     assert names == {"SList", "Symbol", "Integer", "StringLit", "BraceBlock", "SVector",

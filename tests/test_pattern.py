@@ -28,8 +28,7 @@ ARM_ADD = (
 def _extract(src, table, iterators=frozenset(), include_bin_arith=True, unknown_codes=None):
     tree = build_rtl_tree(sexpr.parse_one(src))
     retained = table.retained(include_bin_arith) | iterators
-    p, assigns, _ = extract_pattern(tree, table, retained, unknown_codes)
-    return p, assigns
+    return extract_pattern(tree, table, retained, unknown_codes)
 
 
 def test_extract_arm_add(table):
@@ -157,8 +156,8 @@ def _is_pattern_operator(code, table, iterators, include_bin_arith):
 
 
 def _reference_extract(tree, table, iterators, include_bin_arith, unknown_codes):
-    """(pattern text, height, assignments, source text): a walk for the
-    pattern, rtl_text for each hole, and rtl_text again for the source."""
+    """(pattern text, height, assignments): a walk for the pattern, and
+    rtl_text for each hole."""
     arg_map, mode_map = {}, {}
 
     def hole(names, kind, text):
@@ -186,7 +185,7 @@ def _reference_extract(tree, table, iterators, include_bin_arith, unknown_codes)
     text, h = walk(tree)
     assignments = [(name, value) for holes in (mode_map, arg_map)
                    for value, name in holes.items()]
-    return text, max(1, h), assignments, rtl_text(tree)
+    return text, max(1, h), assignments
 
 
 #: Codes of random_corpus; the side-effect codes are not dropped from the
@@ -208,14 +207,15 @@ def test_one_walk_matches_reference_extraction(seed, include_bin_arith, dropped,
     for f in md_reader.parse_md(random_corpus(seed, max_depth=5)):
         if f.kind is not md_reader.FormKind.CONSIDERED:
             continue
-        tree = build_template_tree(md_reader.extract_template_vector(f))
+        vec = md_reader.extract_template_vector(f)
+        tree = build_template_tree(vec)
         unknown, expected_unknown = Counter(), Counter()
-        p, assigns, source = extract_pattern(tree, table, retained, unknown)
+        p, assigns = extract_pattern(tree, table, retained, unknown)
         expected = _reference_extract(tree, table, iterators, include_bin_arith,
                                        expected_unknown)
-        assert (p.canonical_text, p.height, assigns, source) == expected
+        assert (p.canonical_text, p.height, assigns) == expected
         assert unknown == expected_unknown
-        assert source == sexpr.serialize(md_reader.extract_template_vector(f))
+        assert substitute(p.canonical_text, dict(assigns)) == sexpr.serialize(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +312,20 @@ def test_substitution_arity_mismatch(table):
         substitute(p.canonical_text, extra)
 
 
+def _analyzed_templates(analysis, forms):
+    """The template vector of each binding's form, found by its origin."""
+    by_origin = {f.origin: f for f in forms}
+    return [md_reader.extract_template_vector(by_origin[b.origin]) for b in analysis.bindings]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_substitution_roundtrip_random(table, seed):
     forms = md_reader.parse_md(random_corpus(seed))
     a = analyze(forms, table)
-    for b, src in zip(a.bindings, a.source_texts):
+    for b, vec in zip(a.bindings, _analyzed_templates(a, forms)):
         entry = a.store.get(b.pattern_id)
-        assert substitute(entry.pattern.canonical_text, dict(b.assignments)) == src
+        assert substitute(entry.pattern.canonical_text, dict(b.assignments)) == sexpr.serialize(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +392,8 @@ def test_count_subpatterns_diagnostic(table):
 def test_height_monotone_under_abstraction(table):
     forms = md_reader.parse_md(random_corpus(3))
     a = analyze(forms, table)
-    for b, src in zip(a.bindings, a.source_texts):
-        source_tree = build_template_tree(sexpr.parse_one(src))
+    for b, vec in zip(a.bindings, _analyzed_templates(a, forms)):
+        source_tree = build_template_tree(vec)
         entry = a.store.get(b.pattern_id)
         assert entry.pattern.height <= max(1, height(source_tree))
 
@@ -403,7 +409,7 @@ def brute_force_unique(forms, table):
         if f.kind is not md_reader.FormKind.CONSIDERED:
             continue
         tree = build_template_tree(md_reader.extract_template_vector(f))
-        p, _, _ = extract_pattern(tree, table, table.retained(True))
+        p, _ = extract_pattern(tree, table, table.retained(True))
         texts.append(p.canonical_text)
     unique = []
     for t in texts:  # deliberate O(n^2) pairwise comparison

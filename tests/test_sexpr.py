@@ -398,15 +398,8 @@ def reference_parse_text(source, filename=None):
             expr, i = _reference_parse_expr(toks, i, filename)
         except RecursionError:
             raise sexpr.NestingTooDeep(loc) from None
-        expr.loc = loc
-        out.append(expr)
+        out.append((loc, expr))
     return out
-
-
-def _nested_nodes(e):
-    for item in getattr(e, "items", ()):
-        yield item
-        yield from _nested_nodes(item)
 
 
 def _parse_outcome(parser, source):
@@ -416,7 +409,7 @@ def _parse_outcome(parser, source):
         exprs = parser(source, "t.md")
     except sexpr.SExprError as exc:
         return (type(exc), exc.msg, exc.filename, exc.line, exc.col)
-    return [(e, e.loc) for e in exprs]
+    return exprs
 
 
 # lexer-alphabet text, or a whole atom, nested in lists and vectors that are
@@ -440,12 +433,7 @@ _nested_source = st.recursive(
 @example("(a)\n ) b")
 @example("[(x)] ]")
 def test_parse_text_matches_per_token_reference(source):
-    outcome = _parse_outcome(parse_text, source)
-    assert outcome == _parse_outcome(reference_parse_text, source)
-    if isinstance(outcome, list):
-        for expr, loc in outcome:
-            assert loc is not None
-            assert all(node.loc is None for node in _nested_nodes(expr))
+    assert _parse_outcome(parse_text, source) == _parse_outcome(reference_parse_text, source)
 
 
 @pytest.mark.parametrize("name", ["lex.md", "lex-crlf.md"])
