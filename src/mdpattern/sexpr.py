@@ -3,12 +3,21 @@
 The syntax is s-expressions extended with bracket vectors ``[...]``,
 verbatim brace blocks ``{...}`` (C code, kept byte-exact), ``;`` line
 comments and ``/* ... */`` block comments.
+
+`tokenize` splits a whole source with one ``re.split``, so the loop over
+tokens runs in the regex engine, and keeps each token as its source text;
+an offset is counted only where a position is reported.  `parse_text`
+walks the token texts.  Given the heads to build, it checks every other
+top-level list in the same pass, for matching brackets and MAX_DEPTH, and
+makes no nodes for it.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import accumulate, islice
+from operator import length_hint
 
 from . import Error
 
@@ -76,28 +85,45 @@ Token = namedtuple("Token", "kind value pos")
 # Characters that end an atom; an atom is a maximal run of the others.
 _SPACE = r" \t\r\n\f\v"
 _ATOM_CHAR = r'[^%s()\[\]{};"]' % _SPACE
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 
-#: One match per token: the whitespace and comments before it, then one
-#: alternative, whose group number says what was found.
+#: Brace blocks nested up to this many levels are matched by the token
+#: regex; a deeper one is measured by `_block_end`, and the source after it
+#: is split again.
+_BRACE_DEPTH = 8
+
+
+def _brace_block(depth: int) -> str:
+    """A regex for a brace block of at most `depth` levels.  Each level reads
+    a run of non-brace characters between nested blocks, so no character
+    matches two ways, and a failing match backtracks in linear time."""
+    inner = r"[^{}]*"
+    for _ in range(depth - 1):
+        inner = r"[^{}]*(?:\{%s\}[^{}]*)*" % inner
+    return r"\{%s\}" % inner
+
+
+#: One match per token: group 1 is the whitespace and comments before it,
+#: group 2 the token's source text, empty at the end of the input.  A fault
+#: takes the rest of the source as its text, so lexing ends there: an
+#: unterminated string or block comment, a stray '}', and a '{' whose block
+#: is unterminated or nests deeper than _BRACE_DEPTH.
 _TOKEN_RE = re.compile(
-    r"[{s}]*(?:(?:;[^\n]*|/\*.*?\*/)[{s}]*)*".format(s=_SPACE)
-    + r"(?:([()\[\]])"  # 1: punctuation
-    + r'|("[^"\\]*(?:\\.[^"\\]*)*")'  # 2: string
-    + r"|(-?\d+)(?!{a})".format(a=_ATOM_CHAR)  # 3: an integer that is a whole atom
-    + r"|((?!/\*){a}+)".format(a=_ATOM_CHAR)  # 4: symbol, unless '/*' opens a comment
-    + r"|(.)"  # 5: '{' opens a brace block; '"', '/' or '}' is an error
+    r"([{s}]*(?:(?:;[^\n]*|/\*.*?\*/)[{s}]*)*)".format(s=_SPACE)
+    + r"([()\[\]]"  # punctuation
+    + "|" + _STRING
+    + "|" + _brace_block(_BRACE_DEPTH)
+    + r"|(?!/\*){a}+".format(a=_ATOM_CHAR)  # integer or symbol, unless '/*' opens a comment
+    + r'|["{}].*|/\*.*'  # a fault
     + r"|\Z)",
     re.S,
 )
-_ATOM_KINDS = (None, None, None, "int", "symbol")  # by group number
+_STRING_RE = re.compile(_STRING, re.S)
 _BRACE_RE = re.compile(r"[{}]")
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
 _STR_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-_STRAY = {
-    '"': (UnterminatedString, "unterminated string literal"),
-    "/": (UnterminatedComment, "unterminated block comment"),
-    "}": (UnbalancedParen, "unmatched '}'"),
-}
+_PUNCT = frozenset("()[]")
+_CLOSER = {"(": ")", "[": "]"}
 
 
 def _unescape(m):
@@ -113,44 +139,107 @@ def line_col(source: str, pos: int, counted: int = 0, line: int = 1) -> tuple[in
     return line + source.count("\n", counted, pos), pos - source.rfind("\n", 0, pos)
 
 
-def tokenize(source: str, filename: str | None = None) -> list[Token]:
-    """Split a source into tokens; each carries the offset of its first
-    character, which `line_col` turns into a line and column."""
-    toks: list[Token] = []
-    append = toks.append
-    match = _TOKEN_RE.match
-    new = tuple.__new__  # builds a Token without its Python-level __new__
-    pos = 0
-    while True:
-        m = match(source, pos)
-        group = m.lastindex
-        if group is None:  # end of input
-            return toks
-        start, pos = m.span(group)
-        text = source[start:pos]
-        if group == 1:
-            append(new(Token, (text, text, start)))
-        elif group == 2:
-            text = text[1:-1]
-            if "\\" in text:
-                text = _ESCAPE_RE.sub(_unescape, text)
-            append(new(Token, ("string", text, start)))
-        elif group < 5:
-            append(new(Token, (_ATOM_KINDS[group], text, start)))
-        elif text == "{":
-            depth = 0
-            for brace in _BRACE_RE.finditer(source, start):
-                depth += 1 if brace.group() == "{" else -1
-                if depth == 0:
-                    break
-            else:
-                raise UnterminatedBlock("unbalanced brace block", filename,
-                                        *line_col(source, start))
-            pos = brace.end()
-            append(new(Token, ("brace", source[start + 1 : pos - 1], start)))
-        else:
-            cls, msg = _STRAY[text]
-            raise cls(msg, filename, *line_col(source, start))
+def _is_int(text: str) -> bool:
+    return text.isdecimal() or (text[0] == "-" and text[1:].isdecimal())
+
+
+def _string(text: str) -> str:
+    """The characters of a string token, its escapes decoded."""
+    text = text[1:-1]
+    return _ESCAPE_RE.sub(_unescape, text) if "\\" in text else text
+
+
+def _token(text: str, pos: int, new=tuple.__new__) -> Token:
+    # tuple.__new__ builds a Token without its Python-level __new__
+    if text in _PUNCT:
+        return new(Token, (text, text, pos))
+    if text[0] == '"':
+        return new(Token, ("string", _string(text), pos))
+    if text[0] == "{":
+        return new(Token, ("brace", text[1:-1], pos))
+    return new(Token, ("int" if _is_int(text) else "symbol", text, pos))
+
+
+class Tokens:
+    """The tokens of one source, in order: `texts` holds each token's source
+    text, and indexing or iterating gives `Token`s.  An offset is counted
+    from the lengths of the texts and of the layout between them, only when
+    it is asked for."""
+
+    __slots__ = ("source", "filename", "texts", "_pieces")
+
+    def __init__(self, source: str, filename: str | None, pieces: list):
+        self.source = source
+        self.filename = filename
+        self._pieces = pieces  # the layout before each token, then its text
+        self.texts = pieces[1::2]
+
+    def __len__(self):
+        return len(self.texts)
+
+    def __getitem__(self, i):
+        i = range(len(self.texts))[i]
+        return _token(self.texts[i], self.pos(i))
+
+    def __iter__(self):
+        starts = islice(accumulate(map(len, self._pieces)), 0, None, 2)
+        return map(_token, self.texts, starts)
+
+    def pos(self, i: int) -> int:
+        """The offset of token `i`'s first character."""
+        return len("".join(self._pieces[:2 * i + 1]))
+
+    def error(self, cls, msg: str, i: int) -> SExprError:
+        """An error of class `cls` about token `i`."""
+        return cls(msg, self.filename, *line_col(self.source, self.pos(i)))
+
+
+def _split(source: str) -> list:
+    """The layout before each token of `source` and the token's text, in
+    turn, up to the end of the input or a fault."""
+    pieces = _TOKEN_RE.split(source)
+    del pieces[::3]  # the text between two matches, always empty
+    while pieces and not pieces[-1]:  # the end of the input
+        del pieces[-2:]
+    return pieces
+
+
+def _block_end(text: str) -> int | None:
+    """The length of the brace block at the start of `text`, or None if it
+    is unterminated."""
+    depth = 0
+    for brace in _BRACE_RE.finditer(text):
+        depth += 1 if brace.group() == "{" else -1
+        if depth == 0:
+            return brace.end()
+    return None
+
+
+def tokenize(source: str, filename: str | None = None) -> Tokens:
+    """Split a source into tokens.  A lexing fault raises here, so it is
+    reported before any parse error."""
+    pieces = _split(source)
+    while pieces and pieces[-1][:1] == "{":
+        last = pieces[-1]
+        end = _block_end(last)
+        if end is None:
+            raise UnterminatedBlock("unbalanced brace block", filename,
+                                    *line_col(source, len(source) - len(last)))
+        if end == len(last):
+            break
+        pieces[-1] = last[:end]  # a block deeper than the regex reads
+        pieces += _split(last[end:])
+    last = pieces[-1] if pieces else ""
+    if last[:1] == '"' and not _STRING_RE.fullmatch(last):
+        cls, msg = UnterminatedString, "unterminated string literal"
+    elif last[:1] == "}":
+        cls, msg = UnbalancedParen, "unmatched '}'"
+    elif last[:2] == "/*":
+        cls, msg = UnterminatedComment, "unterminated block comment"
+    else:
+        return Tokens(source, filename, pieces)
+    # a fault's text runs to the end of the source
+    raise cls(msg, filename, *line_col(source, len(source) - len(last)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,63 +313,150 @@ class SVector(SExpr):
         self.items = items
 
 
-def _atom(kind, value):
-    if kind == "symbol":
-        return Symbol(value)
-    if kind == "int":
-        return Integer(int(value))
-    return (StringLit if kind == "string" else BraceBlock)(value)
+def _atom(text: str) -> SExpr:
+    first = text[0]
+    if first == '"':
+        return StringLit(_string(text))
+    if first == "{":
+        return BraceBlock(text[1:-1])
+    if _is_int(text):
+        return Integer(int(text))
+    return Symbol(text)
 
 
-def _parse_items(tokens, opener, top, depth, source):
-    """The list or vector that the token `opener` opens, `depth` levels deep
-    in the top-level form at `top`, read from the token iterator up to and
-    including its closer.
+def _build(it, closer, depth, top, toks):
+    """The list or vector whose opener the token-text iterator `it` has just
+    read, `depth` levels deep in the top-level form at `top`, read up to and
+    including its `closer`.
 
     Atoms are made in the loop; only a nested list or vector recurses, so the
     parser takes one stack frame per nesting level.
     """
     if depth > MAX_DEPTH:
         raise NestingTooDeep(top)
-    closer = ")" if opener.kind == "(" else "]"
     items = []
     append = items.append
-    for tok in tokens:
-        kind = tok.kind
-        if kind == "symbol":
-            append(Symbol(tok.value))
-        elif kind == "(" or kind == "[":
-            append(_parse_items(tokens, tok, top, depth + 1, source))
-        elif kind == closer:
-            return (SList if closer == ")" else SVector)(items)
-        elif kind == ")" or kind == "]":
-            raise UnbalancedParen("mismatched '%s'" % kind, top.filename,
-                                  *line_col(source, tok.pos))
+    for text in it:
+        if text in _PUNCT:
+            if text == closer:
+                return (SList if closer == ")" else SVector)(items)
+            inner = _CLOSER.get(text)
+            if inner is None:
+                raise toks.error(UnbalancedParen, "mismatched '%s'" % text,
+                                 len(toks) - length_hint(it) - 1)
+            append(_build(it, inner, depth + 1, top, toks))
+        elif text[0].isalpha():  # a symbol, the most common atom
+            append(Symbol(text))
         else:
-            append(_atom(kind, tok.value))
-    raise UnbalancedParen("missing '%s'" % closer, top.filename,
-                          *line_col(source, opener.pos))
+            append(_atom(text))
+    raise toks.error(UnbalancedParen, "missing '%s'" % closer, _innermost_open(toks.texts))
 
 
-def parse_text(source: str, filename: str | None = None) -> list[tuple[Loc, SExpr]]:
+def _innermost_open(texts) -> int:
+    """The index of the innermost bracket left open at the end of `texts`,
+    when every closer before it matches."""
+    closed = 0
+    for i in range(len(texts) - 1, -1, -1):
+        if texts[i] in _CLOSER:
+            if not closed:
+                return i
+            closed -= 1
+        elif texts[i] in _PUNCT:
+            closed += 1
+
+
+def _skip(it, closer, depth) -> bool:
+    """Read the rest of a list or vector, `depth` levels deep, whose opener
+    `it` has just read, building nothing: whether its brackets match up to
+    `closer` and nest at most MAX_DEPTH levels."""
+    closers = [closer]
+    for text in it:
+        inner = _CLOSER.get(text)
+        if inner:
+            closers.append(inner)
+            if depth + len(closers) > MAX_DEPTH + 1:
+                return False
+        elif text in _PUNCT:
+            if closers.pop() != text:
+                return False
+            if not closers:
+                return True
+    return False
+
+
+def _head(texts, i) -> str:
+    """The head of the list whose first item is token `i`, if any."""
+    text = texts[i] if i < len(texts) else ")"
+    if text in _PUNCT or text[0] in '"{' or _is_int(text):
+        return ""
+    return text
+
+
+def _skip_form(it, texts, i) -> str | None:
+    """Read the top-level list whose '(' is token `i` without building it:
+    the name that `Skipped` gives it, or None if `_skip` finds a fault."""
+    n = len(texts)
+    second = i + 2
+    inner = _CLOSER.get(texts[i + 1]) if i + 1 < n else None
+    if inner:  # a list or vector head; the second item follows its closer
+        next(it)
+        if not _skip(it, inner, 2):
+            return None
+        second = n - length_hint(it)
+    elif i + 1 < n and texts[i + 1] in _PUNCT:
+        second = i + 1  # no first item
+    name = _string(texts[second]) if second < n and texts[second][0] == '"' else ""
+    return name if _skip(it, ")", 1) else None
+
+
+#: A top-level list that `parse_text` checked but did not build: `head` is
+#: the text of its first item if that is a symbol, else ''; `name` is the
+#: text of its second item if that is a string, else ''.
+Skipped = namedtuple("Skipped", "head name")
+
+
+def parse_text(source: str, filename: str | None = None,
+               heads=None) -> list[tuple[Loc, SExpr | Skipped]]:
     """Parse a whole source into its top-level expressions, each paired with
-    its location."""
-    tokens = iter(tokenize(source, filename))  # looked up per call: the bench wraps it
+    its location.
+
+    Given `heads`, a top-level list is built only if its head -- the text of
+    its first item if that is a symbol, else '' -- is one of them.  Any other
+    list is read in the same pass and checked as if it were built, for
+    matching brackets and MAX_DEPTH, and stands in the result as a `Skipped`.
+    """
+    toks = tokenize(source, filename)  # looked up per call: the bench wraps it
+    texts, pieces = toks.texts, toks._pieces
+    n = len(texts)
+    it = iter(texts)
     out = []
     line, counted = 1, 0  # each form's line is counted on from the previous form's
-    for tok in tokens:
-        kind = tok.kind
-        line, col = line_col(source, tok.pos, counted, line)
-        counted = tok.pos
+    prev, pos = 0, len(pieces[0]) if pieces else 0  # a token's index and offset
+    while True:
+        text = next(it, None)
+        if text is None:
+            return out
+        i = n - length_hint(it) - 1
+        pos += len("".join(pieces[2 * prev + 1:2 * i + 1]))
+        prev = i
+        line, col = line_col(source, pos, counted, line)
+        counted = pos
         loc = Loc(filename, line, col)
-        if kind == "(" or kind == "[":
-            expr = _parse_items(tokens, tok, loc, 1, source)
-        elif kind == ")" or kind == "]":
-            raise UnbalancedParen("unmatched '%s'" % kind, filename, line, col)
-        else:
-            expr = _atom(kind, tok.value)
-        out.append((loc, expr))
-    return out
+        closer = _CLOSER.get(text)
+        if closer is None:
+            if text in _PUNCT:
+                raise UnbalancedParen("unmatched '%s'" % text, filename, line, col)
+            out.append((loc, _atom(text)))
+            continue
+        if heads is not None and closer == ")":
+            head = _head(texts, i + 1)
+            if head not in heads:
+                name = _skip_form(it, texts, i)
+                if name is not None:
+                    out.append((loc, Skipped(head, name)))
+                    continue
+                it = iter(texts[i + 1:])  # a fault: building the form reports it
+        out.append((loc, _build(it, closer, 1, loc, toks)))
 
 
 def parse_one(source: str, filename: str | None = None) -> SExpr:

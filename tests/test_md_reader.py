@@ -229,3 +229,151 @@ def test_considered_count_matches_grep_oracle():
     forms = load_md_file(str(root))
     total_forms = sum(1 for f in forms if f.kind is FormKind.CONSIDERED)
     assert total_forms == grep_total == 50
+
+
+# ---------------------------------------------------------------------------
+# Forms the analysis never reads are checked but not built
+
+import json  # noqa: E402
+
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from mdpattern.md_reader import classify  # noqa: E402
+from test_sexpr import reference_parse_text, reference_tokenize  # noqa: E402
+
+DEEP = sexpr.MAX_DEPTH
+
+
+def _error_outcome(exc):
+    return (type(exc), exc.msg, exc.filename, exc.line, exc.col)
+
+
+def _first_overflow(toks):
+    """The index of the first token nested past MAX_DEPTH, with its form's
+    location, or None."""
+    depth = 0
+    for k, (kind, _, line, col) in enumerate(toks):
+        if depth == 0:
+            top = sexpr.Loc("t.md", line, col)
+        if kind in ("(", "["):
+            depth += 1
+            if depth > DEEP:
+                return k, top
+        elif kind in (")", "]"):
+            depth = max(depth - 1, 0)
+    return None
+
+
+def reference_parse_md(source, considered_heads):
+    """`classify` over each form of `reference_parse_text`, with nesting past
+    MAX_DEPTH reported where it comes in token order; an ignored form keeps
+    no body.  Returns each form's fields, or the error's."""
+    try:
+        toks = reference_tokenize(source, "t.md")
+    except sexpr.SExprError as exc:
+        return _error_outcome(exc)
+    fault, at = None, len(toks) + 1
+    try:
+        exprs = reference_parse_text(source, "t.md")
+    except sexpr.SExprError as exc:
+        fault = exc
+        at = len(toks) if exc.msg.startswith("missing") else next(
+            k for k, t in enumerate(toks) if (t[2], t[3]) == (exc.line, exc.col))
+    overflow = _first_overflow(toks)
+    if overflow and overflow[0] < at:
+        return (sexpr.NestingTooDeep, "nesting too deep", *overflow[1])
+    if fault:
+        return _error_outcome(fault)
+    forms = []
+    for loc, expr in exprs:
+        if not isinstance(expr, sexpr.SList):
+            return (sexpr.UnexpectedToken, "top-level form is not a list", *loc)
+        f = classify(loc, expr, considered_heads)
+        forms.append((f.kind, f.head, f.name, f.origin,
+                      None if f.kind is FormKind.IGNORED else f.body))
+    return forms
+
+
+def _parse_md_outcome(source, considered_heads):
+    try:
+        forms = parse_md(source, "t.md", considered_heads)
+    except sexpr.SExprError as exc:
+        return _error_outcome(exc)
+    return [(f.kind, f.head, f.name, f.origin, f.body) for f in forms]
+
+
+def _nest(opener, closer, levels, inner="x"):
+    return opener * levels + inner + closer * levels
+
+
+_HEAD = st.sampled_from([
+    "define_insn", "define_code_iterator", "include", "define_attr", "define_peephole2",
+    "(a)", "[v (w)]", "((a) b)", "7", "-2", "٣", '"h"', '"h\\"x"', "{c}", ""])
+_SECOND = st.sampled_from(['"x"', '"a\\"b\\n"', '""', "m", "(b c)", "[c]", "3", "{d}", ""])
+_ITEM = st.sampled_from([
+    "[(set (reg 0) (reg 1))]", '"cond"', "(a [b (c 1)] {x})", "{ if (x) { y; } }",
+    "{" * 12 + ' " ; ' + "}" * 12, "[SI DI]", ";c\n", "/* ( */", "\n  ",
+    _nest("(", ")", DEEP - 1), _nest("[", "]", DEEP - 1)])
+# bracket faults, and nesting past the bound
+_FAULT = st.sampled_from(["(a", "(a]", "[b)", "]", _nest("[", "]", DEEP),
+                          _nest("(", ")", DEEP + 2, "x ]"), "(" * (DEEP + 3) + "]",
+                          "(" * (DEEP - 1)])
+_FORM = st.tuples(_HEAD, _SECOND, st.lists(st.one_of(*[_ITEM] * 6, _FAULT), max_size=3),
+                  st.sampled_from([")"] * 12 + ["]", ""])).map(
+    lambda t: "(%s %s %s%s" % (t[0], t[1], " ".join(t[2]), t[3]))
+_TOP = st.one_of(*[_FORM] * 6, st.sampled_from(["x", "12", '"s"', "[v]", ")"]))
+_CONSIDERED = st.sampled_from([DEFAULT_CONSIDERED_HEADS, frozenset({"define_peephole2"}),
+                               frozenset({"define_insn", ""})])
+
+
+@settings(max_examples=800)
+@given(st.lists(_TOP, max_size=4).map("\n ".join), _CONSIDERED)
+@example("x\n(a]", DEFAULT_CONSIDERED_HEADS)
+@example('((a) "x" (b))', DEFAULT_CONSIDERED_HEADS)
+@example('(7 "x")\n("s" "y")\n([v] "z")\n(define_attr m "n")\n()', DEFAULT_CONSIDERED_HEADS)
+@example("(define_attr " + _nest("(", ")", DEEP + 1) + " ]", DEFAULT_CONSIDERED_HEADS)
+@example("(define_attr (a ] " + _nest("(", ")", DEEP + 1), DEFAULT_CONSIDERED_HEADS)
+@example("(define_attr [(x)\n  (y", DEFAULT_CONSIDERED_HEADS)
+@example('(define_peephole2 [(set a b)] "" [] "")\n(define_attr "x" ""\n ({)', DEFAULT_CONSIDERED_HEADS)
+def test_parse_md_matches_classify_of_reference_parse(source, considered_heads):
+    assert (_parse_md_outcome(source, considered_heads)
+            == reference_parse_md(source, considered_heads))
+
+
+PEEPHOLE = ('(define_peephole2 "p" [(set (match_operand:SI 0 "register_operand")\n'
+            '                   (plus:SI (match_dup 0) (const_int 1)))] "" [] "")\n')
+
+
+def test_a_form_no_analysis_reads_is_not_built():
+    forms = parse_md(PEEPHOLE + ADD_EXPAND)
+    assert [(f.kind, f.head, f.name) for f in forms] == [
+        (FormKind.IGNORED, "define_peephole2", "p"), (FormKind.CONSIDERED, "define_expand", "add<mode>3")]
+    assert forms[0].body is None
+    built = parse_md(PEEPHOLE, considered_heads=frozenset({"define_peephole2"}))[0]
+    assert built.kind is FormKind.CONSIDERED
+    assert built.body == sexpr.parse_one(PEEPHOLE)
+
+
+def test_the_heads_of_an_entry_choose_the_forms_that_are_built(tmp_path, capsys):
+    from mdpattern.cli import main
+
+    (tmp_path / "p.md").write_text(PEEPHOLE + ADD_EXPAND)
+    (tmp_path / "m.txt").write_text("p = p.md\n")
+    (tmp_path / "h.txt").write_text("p = p.md heads=define_peephole2,define_expand\n")
+
+    def expressions(*argv):
+        assert main(["stats", "--format", "json", *argv]) == 0
+        return json.loads(capsys.readouterr().out)["rows"][0]["expressions"]
+
+    assert expressions("--manifest", str(tmp_path / "m.txt")) == 1
+    assert expressions("--manifest", str(tmp_path / "m.txt"),
+                       "--heads", "define_peephole2,define_expand") == 2
+    assert expressions("--manifest", str(tmp_path / "h.txt")) == 2
+
+
+def test_an_include_form_keeps_its_body_when_includes_are_off(tmp_path):
+    _write(tmp_path, "sub.md", SUB)
+    root = _write(tmp_path, "root.md", '(include "sub.md")\n' + PEEPHOLE)
+    inc, peep = load_md_file(str(root), resolve=False)
+    assert (inc.kind, inc.head, peep.kind) == (FormKind.IGNORED, "include", FormKind.IGNORED)
+    assert inc.body == sexpr.parse_one('(include "sub.md")') and peep.body is None

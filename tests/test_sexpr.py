@@ -451,3 +451,47 @@ def test_top_level_locs_of_the_lex_corpus_match_the_reference(name):
     got = [(f.origin.line, f.origin.col) for f in forms
            if os.path.basename(f.origin.filename) == name]
     assert got == expected and len(expected) >= 2
+
+
+# ---------------------------------------------------------------------------
+# Lexing stays linear on unterminated input; brace blocks nest without limit
+
+import time  # noqa: E402
+
+
+@pytest.mark.parametrize("source,error,line,col", [
+    ("(a)\n " + "{" * 5000, sexpr.UnterminatedBlock, 2, 2),
+    ("(a)\n { " + "{x} {" * 20000, sexpr.UnterminatedBlock, 2, 2),
+    ('(a\n  "' + "x" * 10**5, sexpr.UnterminatedString, 2, 3),
+    ('"\\' * 50000, sexpr.UnterminatedString, 1, 1),
+    ("x /* " * 30000, sexpr.UnterminatedComment, 1, 3),
+], ids=["nested-braces", "open-braces", "long-string", "quote-backslash", "open-comments"])
+def test_unterminated_input_is_lexed_in_linear_time(source, error, line, col):
+    start = time.perf_counter()
+    with pytest.raises(error) as ei:
+        parse_text(source, "t.md")
+    assert time.perf_counter() - start < 2.0
+    assert (ei.value.filename, ei.value.line, ei.value.col) == ("t.md", line, col)
+    assert _lex_outcome(reference_tokenize, source) == (error, ei.value.msg, "t.md", line, col)
+
+
+@pytest.mark.parametrize("depth", [7, 8, 9, 40, 3000])
+def test_brace_blocks_nest_without_limit(depth):
+    block = "{" * depth + ' " ; /* ' + "}" * depth
+    source = '(a %s "s" ;c\n %s [b])\n%s (c)' % (block, block, block)
+    assert (_lex_outcome(_tokenize_with_line_col, source)
+            == _lex_outcome(reference_tokenize, source))
+    assert _parse_outcome(parse_text, source) == _parse_outcome(reference_parse_text, source)
+    unterminated = source.replace("}", "", 1)
+    assert (_lex_outcome(_tokenize_with_line_col, unterminated)
+            == _lex_outcome(reference_tokenize, unterminated)
+            == (sexpr.UnterminatedBlock, "unbalanced brace block", "t.md", 1, 4))
+
+
+def test_tokens_index_like_a_list():
+    toks = tokenize('(a "b\\n" {c}) -4', "t.md")
+    assert len(toks) == 6
+    assert toks[-1] == toks[5] == ("int", "-4", 14)
+    assert toks[2] == ("string", "b\n", 3)
+    with pytest.raises(IndexError):
+        toks[6]
