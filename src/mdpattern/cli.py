@@ -44,7 +44,7 @@ def _apply_overrides(entries, args):
     if args.no_includes:
         for e in entries:
             e.resolve_includes = False
-    if args.heads:
+    if args.heads is not None:
         head_set = frozenset(h for h in args.heads.split(",") if h)
         if not head_set:
             raise Error("--heads needs a non-empty list", EXIT_USAGE)

@@ -17,9 +17,6 @@ ITERATOR_HEADS = frozenset(
     {"define_mode_iterator", "define_code_iterator", "define_mode_attr", "define_code_attr"}
 )
 
-#: Heads, besides the considered ones, whose forms are read after parsing.
-_READ_HEADS = ITERATOR_HEADS | {"include"}
-
 
 class MdReaderError(Error):
     pass
@@ -58,11 +55,11 @@ class FormKind(enum.Enum):
 class TopLevelForm:
     __slots__ = ("kind", "head", "name", "body", "origin")
 
-    def __init__(self, kind: FormKind, head: str, name: str, body: SList | None, origin: Loc):
+    def __init__(self, kind: FormKind, head: str, name: str, body: SList, origin: Loc):
         self.kind = kind
         self.head = head
         self.name = name  # first string argument of the define, '' if absent
-        self.body = body  # None for a form the parser did not build
+        self.body = body  # the whole form, its head included
         self.origin = origin  # the one place the form's location is kept
 
 
@@ -86,17 +83,12 @@ def classify(origin: Loc, body: SList, considered_heads=DEFAULT_CONSIDERED_HEADS
 
 def parse_md(source: str, origin: str | None = None,
              considered_heads=DEFAULT_CONSIDERED_HEADS) -> list[TopLevelForm]:
-    """Classify the top-level forms of one source.  A form that the analysis
-    never reads is checked by the parser but not built: it is IGNORED, with
-    the head and name `classify` would give it and no body."""
+    """Classify the top-level forms of one source."""
     forms = []
-    for loc, expr in sexpr.parse_text(source, origin, considered_heads | _READ_HEADS):
-        if isinstance(expr, sexpr.Skipped):
-            forms.append(TopLevelForm(FormKind.IGNORED, expr.head, expr.name, None, loc))
-        elif isinstance(expr, SList):
-            forms.append(classify(loc, expr, considered_heads))
-        else:
+    for loc, expr in sexpr.parse_text(source, origin):
+        if not isinstance(expr, SList):
             raise sexpr.UnexpectedToken("top-level form is not a list", *loc)
+        forms.append(classify(loc, expr, considered_heads))
     return forms
 
 

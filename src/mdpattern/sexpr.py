@@ -7,9 +7,8 @@ comments and ``/* ... */`` block comments.
 `tokenize` splits a whole source with one ``re.split``, so the loop over
 tokens runs in the regex engine, and keeps each token as its source text;
 an offset is counted only where a position is reported.  `parse_text`
-walks the token texts.  Given the heads to build, it checks every other
-top-level list in the same pass, for matching brackets and MAX_DEPTH, and
-makes no nodes for it.
+walks the token texts and builds every top-level form.  Equal atoms of one
+source are one node, which no code changes.
 """
 
 from __future__ import annotations
@@ -251,7 +250,8 @@ class SExpr:
 
     Two expressions are equal when they are of one class and their contents
     are equal.  A node keeps no location: `parse_text` pairs each top-level
-    expression with its `Loc`.
+    expression with its `Loc`.  `parse_text` makes one node for the equal
+    atoms of one source, so no code may change an atom's content.
     """
 
     __slots__ = ()
@@ -324,12 +324,13 @@ def _atom(text: str) -> SExpr:
     return Symbol(text)
 
 
-def _build(it, closer, depth, top, toks):
+def _build(it, closer, depth, top, toks, atoms):
     """The list or vector whose opener the token-text iterator `it` has just
     read, `depth` levels deep in the top-level form at `top`, read up to and
     including its `closer`.
 
-    Atoms are made in the loop; only a nested list or vector recurses, so the
+    Atoms are looked up in `atoms`, which maps the source text of each atom
+    made so far to its node; only a nested list or vector recurses, so the
     parser takes one stack frame per nesting level.
     """
     if depth > MAX_DEPTH:
@@ -344,11 +345,12 @@ def _build(it, closer, depth, top, toks):
             if inner is None:
                 raise toks.error(UnbalancedParen, "mismatched '%s'" % text,
                                  len(toks) - length_hint(it) - 1)
-            append(_build(it, inner, depth + 1, top, toks))
-        elif text[0].isalpha():  # a symbol, the most common atom
-            append(Symbol(text))
+            append(_build(it, inner, depth + 1, top, toks, atoms))
         else:
-            append(_atom(text))
+            node = atoms.get(text)
+            if node is None:
+                node = atoms[text] = _atom(text)
+            append(node)
     raise toks.error(UnbalancedParen, "missing '%s'" % closer, _innermost_open(toks.texts))
 
 
@@ -365,70 +367,14 @@ def _innermost_open(texts) -> int:
             closed += 1
 
 
-def _skip(it, closer, depth) -> bool:
-    """Read the rest of a list or vector, `depth` levels deep, whose opener
-    `it` has just read, building nothing: whether its brackets match up to
-    `closer` and nest at most MAX_DEPTH levels."""
-    closers = [closer]
-    for text in it:
-        inner = _CLOSER.get(text)
-        if inner:
-            closers.append(inner)
-            if depth + len(closers) > MAX_DEPTH + 1:
-                return False
-        elif text in _PUNCT:
-            if closers.pop() != text:
-                return False
-            if not closers:
-                return True
-    return False
-
-
-def _head(texts, i) -> str:
-    """The head of the list whose first item is token `i`, if any."""
-    text = texts[i] if i < len(texts) else ")"
-    if text in _PUNCT or text[0] in '"{' or _is_int(text):
-        return ""
-    return text
-
-
-def _skip_form(it, texts, i) -> str | None:
-    """Read the top-level list whose '(' is token `i` without building it:
-    the name that `Skipped` gives it, or None if `_skip` finds a fault."""
-    n = len(texts)
-    second = i + 2
-    inner = _CLOSER.get(texts[i + 1]) if i + 1 < n else None
-    if inner:  # a list or vector head; the second item follows its closer
-        next(it)
-        if not _skip(it, inner, 2):
-            return None
-        second = n - length_hint(it)
-    elif i + 1 < n and texts[i + 1] in _PUNCT:
-        second = i + 1  # no first item
-    name = _string(texts[second]) if second < n and texts[second][0] == '"' else ""
-    return name if _skip(it, ")", 1) else None
-
-
-#: A top-level list that `parse_text` checked but did not build: `head` is
-#: the text of its first item if that is a symbol, else ''; `name` is the
-#: text of its second item if that is a string, else ''.
-Skipped = namedtuple("Skipped", "head name")
-
-
-def parse_text(source: str, filename: str | None = None,
-               heads=None) -> list[tuple[Loc, SExpr | Skipped]]:
+def parse_text(source: str, filename: str | None = None) -> list[tuple[Loc, SExpr]]:
     """Parse a whole source into its top-level expressions, each paired with
-    its location.
-
-    Given `heads`, a top-level list is built only if its head -- the text of
-    its first item if that is a symbol, else '' -- is one of them.  Any other
-    list is read in the same pass and checked as if it were built, for
-    matching brackets and MAX_DEPTH, and stands in the result as a `Skipped`.
-    """
+    its location."""
     toks = tokenize(source, filename)  # looked up per call: the bench wraps it
     texts, pieces = toks.texts, toks._pieces
     n = len(texts)
     it = iter(texts)
+    atoms = {}
     out = []
     line, counted = 1, 0  # each form's line is counted on from the previous form's
     prev, pos = 0, len(pieces[0]) if pieces else 0  # a token's index and offset
@@ -447,16 +393,8 @@ def parse_text(source: str, filename: str | None = None,
             if text in _PUNCT:
                 raise UnbalancedParen("unmatched '%s'" % text, filename, line, col)
             out.append((loc, _atom(text)))
-            continue
-        if heads is not None and closer == ")":
-            head = _head(texts, i + 1)
-            if head not in heads:
-                name = _skip_form(it, texts, i)
-                if name is not None:
-                    out.append((loc, Skipped(head, name)))
-                    continue
-                it = iter(texts[i + 1:])  # a fault: building the form reports it
-        out.append((loc, _build(it, closer, 1, loc, toks)))
+        else:
+            out.append((loc, _build(it, closer, 1, loc, toks, atoms)))
 
 
 def parse_one(source: str, filename: str | None = None) -> SExpr:

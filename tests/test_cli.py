@@ -475,6 +475,19 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("heads", ["", ","], ids=["empty", "comma"])
+@pytest.mark.parametrize("argv", [
+    ["stats"], ["matrix"], ["verify"], ["compare", "alpha", "beta"],
+    ["extract", "alpha", "--out-dir", "d"],
+], ids=" ".join)
+def test_an_empty_heads_list_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, heads):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--manifest", SYNTH, "--heads", heads)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "mdpattern: --heads needs a non-empty list\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parse_failure_exit_code(tmp_path, capsys):
     (tmp_path / "bad.md").write_text("(define_insn \"x\" [(set a b] \"\" \"\")\n")
     (tmp_path / "m.txt").write_text("bad = bad.md\n")

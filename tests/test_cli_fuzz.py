@@ -73,7 +73,7 @@ FALLBACK_PARAMS = (b"0 define_insn mov $arg0=(reg:SI%200) $arg1=(reg:SI%201)\n"
                    b" $arg1=(reg:SI%201) $arg2=(const_int%202)\n")
 
 FLAGS = [[], ["--no-includes"], ["--no-bin-arith"], ["--heads", "define_insn,define_expand"],
-         ["--heads", ","]]
+         ["--heads", ","], ["--heads", ""]]
 
 
 def _spliced(data, splices):

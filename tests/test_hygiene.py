@@ -74,6 +74,45 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+# -- shared atoms ----------------------------------------------------------------
+# sexpr.parse_text makes one node for the equal atoms of one source, which is
+# safe only while no code changes an atom's content after it is made.
+
+ATOM_FIELDS = {"text", "value"}
+
+
+def atom_field_writes(source: str) -> list:
+    """Assignments, augmented assignments and `setattr` calls that write the
+    `.text` or `.value` of anything but `self`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and node.attr in ATOM_FIELDS):
+            target = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in ATOM_FIELDS):
+            target = node.args[0]
+        else:
+            continue
+        if not (isinstance(target, ast.Name) and target.id == "self"):
+            found.append((node.lineno, ast.unparse(target)))
+    return sorted(found)
+
+
+def test_atom_field_write_detector():
+    source = ("self.text = t\nself.value += 1\nsym.text = 'x'\nn.value += 1\n"
+              "a.b.text, c = 1, 2\nsetattr(node, 'value', 3)\nsetattr(self, 'text', 4)\n"
+              "x = sym.text\nsym.items = []\nsetattr(n, 'items', [])\n")
+    assert atom_field_writes(source) == [(3, "sym"), (4, "n"), (5, "a.b"), (6, "node")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_atom_is_changed_after_it_is_made(path):
+    assert atom_field_writes(path.read_text(encoding="utf-8")) == []
+
+
 # -- one nesting bound ---------------------------------------------------------
 # sexpr.MAX_DEPTH bounds how deep input nests where it is parsed, so every
 # recursive walk of a parsed tree fits the stack and none catches the error.

@@ -232,7 +232,7 @@ def test_considered_count_matches_grep_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Forms the analysis never reads are checked but not built
+# Every form is built and classified
 
 import json  # noqa: E402
 
@@ -266,8 +266,8 @@ def _first_overflow(toks):
 
 def reference_parse_md(source, considered_heads):
     """`classify` over each form of `reference_parse_text`, with nesting past
-    MAX_DEPTH reported where it comes in token order; an ignored form keeps
-    no body.  Returns each form's fields, or the error's."""
+    MAX_DEPTH reported where it comes in token order.  Returns each form's
+    fields, or the error's."""
     try:
         toks = reference_tokenize(source, "t.md")
     except sexpr.SExprError as exc:
@@ -289,8 +289,7 @@ def reference_parse_md(source, considered_heads):
         if not isinstance(expr, sexpr.SList):
             return (sexpr.UnexpectedToken, "top-level form is not a list", *loc)
         f = classify(loc, expr, considered_heads)
-        forms.append((f.kind, f.head, f.name, f.origin,
-                      None if f.kind is FormKind.IGNORED else f.body))
+        forms.append((f.kind, f.head, f.name, f.origin, f.body))
     return forms
 
 
@@ -344,11 +343,11 @@ PEEPHOLE = ('(define_peephole2 "p" [(set (match_operand:SI 0 "register_operand")
             '                   (plus:SI (match_dup 0) (const_int 1)))] "" [] "")\n')
 
 
-def test_a_form_no_analysis_reads_is_not_built():
+def test_an_ignored_form_keeps_its_head_name_and_tree():
     forms = parse_md(PEEPHOLE + ADD_EXPAND)
     assert [(f.kind, f.head, f.name) for f in forms] == [
         (FormKind.IGNORED, "define_peephole2", "p"), (FormKind.CONSIDERED, "define_expand", "add<mode>3")]
-    assert forms[0].body is None
+    assert forms[0].body == sexpr.parse_one(PEEPHOLE)
     built = parse_md(PEEPHOLE, considered_heads=frozenset({"define_peephole2"}))[0]
     assert built.kind is FormKind.CONSIDERED
     assert built.body == sexpr.parse_one(PEEPHOLE)
@@ -376,4 +375,5 @@ def test_an_include_form_keeps_its_body_when_includes_are_off(tmp_path):
     root = _write(tmp_path, "root.md", '(include "sub.md")\n' + PEEPHOLE)
     inc, peep = load_md_file(str(root), resolve=False)
     assert (inc.kind, inc.head, peep.kind) == (FormKind.IGNORED, "include", FormKind.IGNORED)
-    assert inc.body == sexpr.parse_one('(include "sub.md")') and peep.body is None
+    assert inc.body == sexpr.parse_one('(include "sub.md")')
+    assert peep.body == sexpr.parse_one(PEEPHOLE)

@@ -117,6 +117,17 @@ def test_parse_vector_nesting():
     assert isinstance(vec, SVector) and len(vec.items) == 2
 
 
+def test_equal_atoms_of_one_source_are_one_node():
+    (_, first), (_, second) = parse_text('(set x "s" 1 {c} (v))\n(set "s" x [1 {c}] (v))')
+    op, x, s, one, c, v = first.items
+    shared = [*second.items[:3], *second.items[3].items]
+    assert list(map(id, shared)) == list(map(id, [op, s, x, one, c]))
+    assert second.items[4] == v and second.items[4] is not v  # lists are not shared
+    (_, again), = parse_text('(set x "s" 1 {c} (v))')
+    assert again == first
+    assert [y is z for y, z in zip(again.items, first.items)] == [False] * 6
+
+
 def test_string_escapes_roundtrip():
     e = parse_one(r'"a\"b\\c\nd"')
     assert isinstance(e, StringLit)
