@@ -218,8 +218,9 @@ class MdAnalysis:
         self.diagnostics = {} if diagnostics is None else diagnostics
         # name -> member codes
         self.code_iterators = {} if code_iterators is None else code_iterators
-        # (pattern id, expanded texts) per store entry; similarity fills it once
-        self.expansions = None
+        # pattern id -> expanded texts; similarity adds a pattern the first
+        # time it expands it
+        self.expansions = {}
 
     @property
     def expr_count(self) -> int:

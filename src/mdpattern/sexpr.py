@@ -81,14 +81,15 @@ Loc = namedtuple("Loc", "filename line col")
 Token = namedtuple("Token", "kind value pos")
 
 
-# Characters that end an atom; an atom is a maximal run of the others.
 _SPACE = r" \t\r\n\f\v"
-_ATOM_CHAR = r'[^%s()\[\]{};"]' % _SPACE
+#: A regex class of the characters an atom holds: an atom is a maximal run
+#: of them, and the characters outside it end an atom.
+ATOM_CHAR = r'[^%s()\[\]{};"]' % _SPACE
 _STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 
 #: Brace blocks nested up to this many levels are matched by the token
-#: regex; a deeper one is measured by `_block_end`, and the source after it
-#: is split again.
+#: regex; a deeper one is measured in place by `_block_end`, and the source
+#: after it is lexed by `_lex_past_blocks`.
 _BRACE_DEPTH = 8
 
 
@@ -107,16 +108,24 @@ def _brace_block(depth: int) -> str:
 #: takes the rest of the source as its text, so lexing ends there: an
 #: unterminated string or block comment, a stray '}', and a '{' whose block
 #: is unterminated or nests deeper than _BRACE_DEPTH.
-_TOKEN_RE = re.compile(
-    r"([{s}]*(?:(?:;[^\n]*|/\*.*?\*/)[{s}]*)*)".format(s=_SPACE)
-    + r"([()\[\]]"  # punctuation
+_LAYOUT = r"[{s}]*(?:(?:;[^\n]*|/\*.*?\*/)[{s}]*)*".format(s=_SPACE)
+_GOOD_TOKEN = (
+    r"[()\[\]]"  # punctuation
     + "|" + _STRING
     + "|" + _brace_block(_BRACE_DEPTH)
-    + r"|(?!/\*){a}+".format(a=_ATOM_CHAR)  # integer or symbol, unless '/*' opens a comment
+    + r"|(?!/\*){a}+".format(a=ATOM_CHAR)  # integer or symbol, unless '/*' opens a comment
+)
+_TOKEN_RE = re.compile(
+    "(%s)(%s" % (_LAYOUT, _GOOD_TOKEN)
     + r'|["{}].*|/\*.*'  # a fault
     + r"|\Z)",
     re.S,
 )
+#: Up to 256 tokens that are no fault, each with the layout before it.  The
+#: layout is matched in a lookahead, which never backtracks, so a token is
+#: never looked for inside a comment; the bound keeps the regex engine's
+#: backtracking stack small.
+_RUN = r"(?:(?=(%s))\1(?:%s)){0,256}" % (_LAYOUT, _GOOD_TOKEN)
 _STRING_RE = re.compile(_STRING, re.S)
 _BRACE_RE = re.compile(r"[{}]")
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
@@ -203,31 +212,60 @@ def _split(source: str) -> list:
     return pieces
 
 
-def _block_end(text: str) -> int | None:
-    """The length of the brace block at the start of `text`, or None if it
-    is unterminated."""
+def _block_end(source: str, start: int) -> int | None:
+    """The end of the brace block at offset `start` of `source`, or None if
+    it is unterminated."""
     depth = 0
-    for brace in _BRACE_RE.finditer(text):
+    for brace in _BRACE_RE.finditer(source, start):
         depth += 1 if brace.group() == "{" else -1
         if depth == 0:
             return brace.end()
     return None
 
 
+def _run_end(source: str, pos: int) -> int:
+    """The end of the tokens from offset `pos` on that are no fault: the
+    stretch `_TOKEN_RE` splits up to a fault or the end of the input."""
+    # compiled on first use, and then cached by `re`: only a source with a
+    # deep brace block needs it
+    run = re.compile(_RUN, re.S)
+    while True:
+        end = run.match(source, pos).end()
+        if end == pos:
+            return pos
+        pos = end
+
+
+def _lex_past_blocks(source: str, pieces: list, filename: str | None):
+    """Lex the rest of `source` after `pieces`, whose last piece is a fault:
+    a brace block that nests deeper than _BRACE_DEPTH or is unterminated,
+    and the rest of the source.  Each such block is measured in place and
+    each stretch between two of them is split once, so the work stays
+    linear in the length of the source."""
+    start = len(source) - len(pieces.pop())
+    while source.startswith("{", start):
+        end = _block_end(source, start)
+        if end is None:
+            raise UnterminatedBlock("unbalanced brace block", filename,
+                                    *line_col(source, start))
+        stop = _run_end(source, end)
+        pieces.append(source[start:end])
+        pieces += _split(source[end:stop])
+        m = _TOKEN_RE.match(source, stop)
+        pieces.append(m.group(1))
+        start = m.start(2)
+    if start < len(source):
+        pieces.append(source[start:])  # a fault
+    else:
+        pieces.pop()  # the layout at the end of the input
+
+
 def tokenize(source: str, filename: str | None = None) -> Tokens:
     """Split a source into tokens.  A lexing fault raises here, so it is
     reported before any parse error."""
     pieces = _split(source)
-    while pieces and pieces[-1][:1] == "{":
-        last = pieces[-1]
-        end = _block_end(last)
-        if end is None:
-            raise UnterminatedBlock("unbalanced brace block", filename,
-                                    *line_col(source, len(source) - len(last)))
-        if end == len(last):
-            break
-        pieces[-1] = last[:end]  # a block deeper than the regex reads
-        pieces += _split(last[end:])
+    if pieces and pieces[-1][:1] == "{" and _block_end(pieces[-1], 0) != len(pieces[-1]):
+        _lex_past_blocks(source, pieces, filename)
     last = pieces[-1] if pieces else ""
     if last[:1] == '"' and not _STRING_RE.fullmatch(last):
         cls, msg = UnterminatedString, "unterminated string literal"

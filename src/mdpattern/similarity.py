@@ -2,13 +2,19 @@
 
 Three measures: shared unique patterns, expressions generated by shared
 patterns, and directed source-to-target coverage.
+
+With code iterators expanded, a pair expands only the patterns whose
+skeleton, the text with every list head erased, also occurs on the other
+side; no other pattern can match.  Each pattern is expanded at most once
+per analysis, across both directions and all pairs.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
-from . import Error
+from . import Error, sexpr
 from .pattern import MdAnalysis
 
 
@@ -99,18 +105,43 @@ def _expand_text(text: str, members: dict) -> tuple:
     return tuple(dict.fromkeys(variants))
 
 
-def _texts(analysis: MdAnalysis, expand_iterators):
-    """(pattern id, texts it matches on) per store entry, in entries() order.
+#: A list head: the '(' and the run of characters after it that a symbol
+#: may hold, code and ':mode' together.
+_HEAD_RE = re.compile(r"\(%s*" % sexpr.ATOM_CHAR)
 
-    The expansions are computed on first use and kept on the analysis.
+
+def _skeleton(text: str) -> str:
+    """The text with every list head erased.
+
+    Expansion turns "(name" followed by a space, ':' or ')' into "(code" and
+    the same character, and names and codes are symbols, so every variant
+    of a pattern has the pattern's skeleton: two patterns whose skeletons
+    differ share no variant.
     """
-    if not expand_iterators:
-        return [(e.pattern_id, (e.pattern.canonical_text,)) for e in analysis.store.entries()]
-    if analysis.expansions is None:
-        members = _iterator_members(analysis)
-        analysis.expansions = [(e.pattern_id, _expand_text(e.pattern.canonical_text, members))
-                               for e in analysis.store.entries()]
-    return analysis.expansions
+    return _HEAD_RE.sub("(", text)
+
+
+def _skeletons(analysis: MdAnalysis) -> list:
+    """(store entry, skeleton) per store entry, in entries() order."""
+    return [(e, _skeleton(e.pattern.canonical_text)) for e in analysis.store.entries()]
+
+
+def _expanded(analysis: MdAnalysis, skeletons: list, shared: set) -> list:
+    """(pattern id, variants) of each entry whose skeleton is in `shared`.
+
+    Each pattern is expanded on first use and kept on the analysis, so it
+    is expanded at most once, whatever the number of pairs.
+    """
+    memo = analysis.expansions
+    members = _iterator_members(analysis)
+    out = []
+    for e, skeleton in skeletons:
+        if skeleton in shared:
+            texts = memo.get(e.pattern_id)
+            if texts is None:
+                texts = memo[e.pattern_id] = _expand_text(e.pattern.canonical_text, members)
+            out.append((e.pattern_id, texts))
+    return out
 
 
 def common_patterns(a: MdAnalysis, b: MdAnalysis, expand_iterators=False):
@@ -118,16 +149,25 @@ def common_patterns(a: MdAnalysis, b: MdAnalysis, expand_iterators=False):
 
     Greedy first fit: each pattern of a, in (height, id) order, takes the
     first unmatched pattern of b in that order that shares a text with it;
-    with expand_iterators, any of their code-iterator expansions.
+    with expand_iterators, any of their code-iterator expansions.  Only the
+    patterns whose skeleton occurs on both sides can share one, so only
+    they are expanded and looked up.
     """
-    texts_b = _texts(b, expand_iterators)
+    if expand_iterators:
+        skeletons_a, skeletons_b = _skeletons(a), _skeletons(b)
+        shared = {s for _, s in skeletons_a}.intersection(s for _, s in skeletons_b)
+        texts_a = _expanded(a, skeletons_a, shared)
+        texts_b = _expanded(b, skeletons_b, shared)
+    else:
+        texts_a = [(e.pattern_id, (e.pattern.canonical_text,)) for e in a.store.entries()]
+        texts_b = [(e.pattern_id, (e.pattern.canonical_text,)) for e in b.store.entries()]
     index = {}  # text -> positions in texts_b, descending
     for pos in range(len(texts_b) - 1, -1, -1):
         for text in texts_b[pos][1]:
             index.setdefault(text, []).append(pos)
     matched = set()
     out = []
-    for id_a, texts in _texts(a, expand_iterators):
+    for id_a, texts in texts_a:
         best = None
         for text in texts:
             hits = index.get(text)

@@ -499,6 +499,38 @@ def test_brace_blocks_nest_without_limit(depth):
             == (sexpr.UnterminatedBlock, "unbalanced brace block", "t.md", 1, 4))
 
 
+_DEEP_BLOCK = "{" * 10 + ' " ; /* ' + "}" * 10
+
+
+def test_deep_brace_blocks_are_lexed_in_linear_work(monkeypatch):
+    # each block is deeper than the token regex reads; the stretches between
+    # them are split once, not the rest of the source after each block
+    source = ("(a " + "".join(_DEEP_BLOCK + ' b "s" ;c\n' for _ in range(2000))
+              + " b" * 600 + _DEEP_BLOCK + ")")
+    split, lengths = sexpr._split, []
+
+    def counted(text):
+        lengths.append(len(text))
+        return split(text)
+
+    monkeypatch.setattr(sexpr, "_split", counted)
+    assert _lex_outcome(_tokenize_with_line_col, source) == _lex_outcome(reference_tokenize, source)
+    assert len(lengths) == 2002
+    assert sum(lengths) <= 2 * len(source)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.one_of(st.text(alphabet=_LEX_ALPHABET, max_size=6), st.just(_DEEP_BLOCK),
+                          st.just("{" * 9 + "}" * 8)), max_size=8))
+@example(["a", _DEEP_BLOCK, " ;c\n", _DEEP_BLOCK, "b/* x */", _DEEP_BLOCK, " "])
+@example([_DEEP_BLOCK, ' "s', _DEEP_BLOCK])
+@example([_DEEP_BLOCK, ' ;c x"y\n', "}"])  # no token is looked for inside a comment
+def test_text_between_deep_blocks_matches_per_character_reference(parts):
+    source = "".join(parts)
+    assert (_lex_outcome(_tokenize_with_line_col, source)
+            == _lex_outcome(reference_tokenize, source))
+
+
 def test_tokens_index_like_a_list():
     toks = tokenize('(a "b\\n" {c}) -4', "t.md")
     assert len(toks) == 6

@@ -181,7 +181,7 @@ def test_expand_iterators_mode(table):
 # -- iterator expansion against the reference scan ----------------------------
 
 
-def _reference_expand(text, members):
+def _reference_expand(text, members, cap=64):
     variants = [text]
     for name, codes in members.items():
         for needle in ("(%s " % name, "(%s:" % name, "(%s)" % name):
@@ -192,7 +192,7 @@ def _reference_expand(text, members):
                         new.extend(v.replace(needle, needle.replace(name, c)) for c in codes)
                     else:
                         new.append(v)
-                variants = new[:64]
+                variants = new[:cap]
     return frozenset(variants)
 
 
@@ -265,6 +265,18 @@ def test_expanded_matching_equals_reference_scan(side_a, side_b):
     assert common_patterns(b, a, True) == _reference_common_patterns(b, a)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_texts, _members)
+@example(_NESTED[0][0][0], _NESTED[1])
+@example(_NESTED_COLON[0][0][0], _NESTED_COLON[1])
+def test_every_variant_has_its_patterns_skeleton(text, members):
+    # uncapped, so the property covers the variants the cap drops too
+    skeleton = similarity._skeleton(text)
+    assert {similarity._skeleton(v) for v in _reference_expand(text, members, cap=None)} == {
+        skeleton}
+    assert similarity._skeleton("(p:it:$mode0 (p:q $arg0))") == "( ( $arg0))"
+
+
 def test_greedy_matching_depends_on_order():
     # p1 -> {x, y} takes q1 -> {x} first, so p2 -> {x} finds no partner and
     # q2 -> {y} stays unmatched: 1 pair where a maximum matching has 2.
@@ -282,36 +294,54 @@ def test_expansion_past_the_cap_is_dropped():
     assert common_patterns(b, a, True) == [(1, 0)]
 
 
-# -- work counts: each pattern is expanded once per analysis ------------------
+# -- work counts: each pattern is expanded at most once per command -----------
 
 ITER = DATA / "iter"
 
 
 @pytest.fixture
 def expand_calls(monkeypatch):
-    calls = []
-    expand = similarity._expand_text
+    """(text, id of the members) of each _expand_text call, in call order,
+    and the set of the same keys of both patterns of each expanded match."""
+    calls, matched = [], set()
+    expand, common = similarity._expand_text, similarity.common_patterns
 
     def counted(text, members):
-        calls.append(text)
+        calls.append((text, id(members)))
         return expand(text, members)
 
+    def matching(a, b, expand_iterators=False):
+        pairs = common(a, b, expand_iterators)
+        if expand_iterators:
+            for ia, ib in pairs:
+                matched.add((a.store.get(ia).pattern.canonical_text, id(a.code_iterators)))
+                matched.add((b.store.get(ib).pattern.canonical_text, id(b.code_iterators)))
+        return pairs
+
     monkeypatch.setattr(similarity, "_expand_text", counted)
-    return calls
+    monkeypatch.setattr(similarity, "common_patterns", matching)
+    return calls, matched
 
 
 def _pattern_counts(table, paths):
     return [analyze_file(p, p.stem, table).store.pattern_count for p in paths]
 
 
+def _assert_expanded_once(expand_calls, pattern_total):
+    calls, matched = expand_calls
+    assert len(set(calls)) == len(calls)  # no pattern is expanded twice
+    assert matched and matched <= set(calls)  # matched patterns were expanded
+    assert len(calls) < pattern_total  # patterns that cannot match are not
+
+
 def test_compare_expands_each_pattern_once(table, expand_calls, capsys):
     manifest = str(ITER / "manifest.txt")
     assert cli.main(["compare", "iota", "kappa", "--manifest", manifest]) == 0
-    assert expand_calls == []
+    assert expand_calls == ([], set())
     assert cli.main(["compare", "iota", "kappa", "--manifest", manifest,
                      "--expand-iterators"]) == 0
-    assert len(expand_calls) == sum(
-        _pattern_counts(table, [ITER / "iota.md", ITER / "kappa.md"]))
+    _assert_expanded_once(expand_calls, sum(
+        _pattern_counts(table, [ITER / "iota.md", ITER / "kappa.md"])))
 
 
 @pytest.mark.parametrize("metric", ["pattern", "expr", "coverage"])
@@ -321,4 +351,4 @@ def test_matrix_expands_each_pattern_once(table, expand_calls, capsys, tmp_path,
     manifest.write_text("".join("%s = %s\n" % (p.stem, p) for p in paths))
     assert cli.main(["matrix", "--metric", metric, "--manifest", str(manifest),
                      "--expand-iterators"]) == 0
-    assert len(expand_calls) == sum(_pattern_counts(table, paths))
+    _assert_expanded_once(expand_calls, sum(_pattern_counts(table, paths)))
