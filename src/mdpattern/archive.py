@@ -3,9 +3,10 @@
 Pattern file: ``#``-prefixed header lines (arch, total_templates, one line
 per iterator definition, with ``%`` and the line breakers below escaped)
 then one ``<id> <height> <count> <pattern>`` line per unique pattern,
-sorted by (height, id).  A pattern text is read back only if it is one
-s-expression in which every list starts with a symbol, and is kept in its
-single-space rendering.
+sorted by (height, id).  A pattern text must be exactly as `extract` writes
+it, as `pattern.is_pattern_text` checks: single spaces, no string or brace
+atom, and holes numbered by first occurrence.  Any other entry is malformed
+and not normalized, because `merge` adds up counts by exact text.
 
 Parameter file: one record per analyzed expression,
 ``<pattern-id> <form-kind> <form-name> $p=<value> ...`` with values
@@ -19,8 +20,8 @@ from __future__ import annotations
 import re
 
 from . import Error, sexpr
-from .pattern import MdAnalysis, ParamBinding, PatternStore, RtlPattern, substitute
-from .sexpr import SExprError, SList, SVector, Symbol
+from .pattern import (MdAnalysis, ParamBinding, PatternStore, RtlPattern, is_pattern_text,
+                      substitute)
 
 
 class ArchiveError(Error):
@@ -120,31 +121,13 @@ def write_param_file(analysis: MdAnalysis) -> str:
 _ENTRY_RE = re.compile(r"(\d+) (\d+) (\d+) (.+)")
 
 
-def _pattern_text(text):
-    """Single-space rendering of a pattern text, or None unless it is one
-    s-expression in which every list starts with a symbol."""
-    try:
-        expr = sexpr.parse_one(text)
-        todo = [expr]
-        while todo:
-            e = todo.pop()
-            if isinstance(e, SList) and not (e.items and isinstance(e.items[0], Symbol)):
-                return None
-            if isinstance(e, (SList, SVector)):
-                todo.extend(e.items)
-        return sexpr.serialize(expr)
-    except SExprError:
-        return None
-
-
 def read_pattern_file(text: str) -> PatternFile:
     arch = None
     total = None
     iterators = []
     entries = []
     seen = set()  # ids (int) and texts (str) so far: each must be unique
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -162,8 +145,8 @@ def read_pattern_file(text: str) -> PatternFile:
                 raise BadHeader("line %d: unknown header line %r" % (lineno, line))
             continue
         m = _ENTRY_RE.fullmatch(line)
-        text = m and _pattern_text(m.group(4))
-        if not text or int(m.group(1)) in seen or text in seen:
+        text = m and m.group(4)
+        if not (text and is_pattern_text(text)) or int(m.group(1)) in seen or text in seen:
             raise MalformedEntry(lineno, line)
         pid = int(m.group(1))
         seen.update((pid, text))
@@ -181,8 +164,7 @@ def read_archives(pattern_text: str, param_text: str):
         store.insert_entry(pid, RtlPattern(text, height), count)
     known = {pid for pid, _, _, _ in pf.entries}
     bindings = []
-    for lineno, raw in enumerate(param_text.splitlines(), 1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(param_text.splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split(" ")

@@ -104,14 +104,41 @@ class _Walk:
         return "(%s)" % " ".join(texts), 1 + h
 
 
-# One pass over a pattern text: string literals and (unnested) brace blocks
-# are copied verbatim; the holes are whole $arg atoms and the $mode suffix
-# after the first ':' of a list head.
-_HOLE_RE = re.compile(r'''
-    "(?:[^"\\]|\\.)*" | \{[^{}]*\}
-  | (?<=\() ([^\s:()\[\]{}";]*:) (\$mode[^\s()\[\]{}";]*)
-  | (?<![^\s\[]) (\$arg[^\s()\[\]{}";]*)
-''', re.VERBOSE)
+# A pattern text is what `_Walk` writes:
+#
+#     item := "$arg"N | "(" code [":$mode"N] (" " item)* ")"
+#           | "[" [item (" " item)*] "]"
+#
+# A code is a run of atom characters but ':'; a list head, the code with its
+# mode hole, is a symbol to `sexpr` (no integer, no opening '/*').  Spaces are
+# single, each kind of hole is numbered 0, 1, ... by first occurrence, and
+# lists and vectors nest at most sexpr.MAX_DEPTH levels.
+
+#: The holes of a pattern text: a '$' after a space, a '[' or a ':' starts
+#: one, as no code holds any of these characters.
+_HOLE_RE = re.compile(r"(?<![^ \[:])\$(arg|mode)\d+")
+
+#: A list or vector of `$arg` holes only, where an item stands: after the
+#: start, a space or '[' (looked back at from past the opener, so that `re`
+#: scans for openers only), and before the end, a space, ')' or ']'.
+_GROUP_RE = re.compile(
+    r"(?:\((?<![^ \[].)(?!-?\d+[ )]|/\*)%s+(?::\$mode\d+)?(?: \$arg\d+)*\)"
+    r"|\[(?<![^ \[].)(?:\$arg\d+(?: \$arg\d+)*)?\])(?![^ \])])"
+    % sexpr.ATOM_CHAR.replace("^", "^:", 1))
+
+
+def is_pattern_text(text: str) -> bool:
+    """Whether `text` is a pattern text, in exactly the form `_Walk` writes.
+
+    Each pass collapses the innermost lists and vectors to a hole, so a text
+    of the grammar that nests at most MAX_DEPTH levels becomes one hole.
+    """
+    reduced = text
+    for _ in range(sexpr.MAX_DEPTH):
+        reduced, n = _GROUP_RE.subn("$arg0", reduced)
+        if not n:
+            break
+    return reduced == "$arg0" and renumber_holes(text) == text
 
 
 def substitute(text: str, mapping: dict) -> str:
@@ -119,13 +146,11 @@ def substitute(text: str, mapping: dict) -> str:
     used = set()
 
     def fill(m):
-        name = m.group(2) or m.group(3)
-        if name is None:
-            return m.group(0)
+        name = m.group()
         if name not in mapping:
             raise ArityMismatch("no value for %s" % name)
         used.add(name)
-        return (m.group(1) or "") + mapping[name]
+        return mapping[name]
 
     out = _HOLE_RE.sub(fill, text)
     unused = set(mapping) - used
@@ -134,18 +159,21 @@ def substitute(text: str, mapping: dict) -> str:
     return out
 
 
-_HOLE_NAME_RE = re.compile(r"\$(mode|arg)\d+")
-
-
 def renumber_holes(text: str) -> str:
-    """Renumber an extracted text's holes by first occurrence, per kind."""
+    """Renumber a pattern text's holes by first occurrence, per kind."""
     seen = {"mode": {}, "arg": {}}
+    return _HOLE_RE.sub(lambda m: _hole(seen[m.group(1)], m.group(1), m.group()), text)
 
-    def rename(m):
-        names = seen[m.group(1)]
-        return names.setdefault(m.group(0), "$%s%d" % (m.group(1), len(names)))
 
-    return _HOLE_NAME_RE.sub(rename, text)
+def subpatterns(text):
+    """Yield the operator subtrees of a pattern text with their holes
+    renumbered: each '(' of a pattern text opens one retained operator."""
+    opens = []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            opens.append(i)
+        elif ch == ")":
+            yield renumber_holes(text[opens.pop():i + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +319,3 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True) ->
         code_iterators=members,
     )
 
-
-def subpatterns(text):
-    """Yield the operator subtrees of a pattern text with their holes
-    renumbered: each '(' of a pattern text opens one retained operator."""
-    opens = []
-    for i, ch in enumerate(text):
-        if ch == "(":
-            opens.append(i)
-        elif ch == ")":
-            yield renumber_holes(text[opens.pop():i + 1])

@@ -172,7 +172,7 @@ def test_recombine_rejects_duplicate_pattern_id(tmp_path, capsys):
 @pytest.mark.parametrize("third", [
     "0 1 1 (set $arg0",  # unbalanced
     "0 2 1 (set () $arg0)",  # a list without a head symbol
-    "0 2 1 (set   $arg0  $arg1 )",  # line 2's text up to spacing
+    "0 2 1 (set   $arg0  $arg1 )",  # line 2's text but for spacing, which is not canonical
 ])
 def test_archive_reads_report_the_entry_line(tmp_path, capsys, third):
     patterns = tmp_path / "x.patterns"

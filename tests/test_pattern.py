@@ -3,13 +3,13 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import analyze_file, random_corpus, DATA
 from test_rtl import height
 from mdpattern import md_reader, pattern, rtl, sexpr
 from mdpattern.pattern import (ArityMismatch, PatternStore, analyze,
-                               extract_pattern, register_iterators,
+                               extract_pattern, is_pattern_text, register_iterators,
                                renumber_holes, subpatterns, substitute)
 from mdpattern.rtl import RtxCodeTable, build_rtl_tree, build_template_tree, rtl_text
 
@@ -247,6 +247,73 @@ def test_alpha_invariance_under_renaming(rng):
     assert renumber_holes(shuffled) == text
 
 
+def _reference_is_pattern_text(text):
+    """Whether `text` is a pattern text, decided on the parser's tree: every
+    list head is code or code:$modeN, every other atom is $argN, the holes
+    of each kind are numbered by first occurrence, and the text is the
+    tree's single-space rendering."""
+    try:
+        tree = sexpr.parse_one(text)
+    except sexpr.SExprError:
+        return False
+    holes = []  # (kind, name) of each hole, in textual order
+
+    def valid(e):
+        if isinstance(e, sexpr.SVector):
+            return all(valid(x) for x in e.items)
+        if isinstance(e, sexpr.SList):
+            if not (e.items and isinstance(e.items[0], sexpr.Symbol)):
+                return False
+            code, colon, mode = e.items[0].text.partition(":")
+            if colon:
+                holes.append(("$mode", mode))
+            return bool(code) and all(valid(x) for x in e.items[1:])
+        if isinstance(e, sexpr.Symbol):
+            holes.append(("$arg", e.text))
+            return True
+        return False
+
+    if not valid(tree) or sexpr.serialize(tree) != text:
+        return False
+    for kind in ("$arg", "$mode"):
+        names = list(dict.fromkeys(name for k, name in holes if k == kind))
+        if names != ["%s%d" % (kind, i) for i in range(len(names))]:
+            return False
+    return True
+
+
+_TEXT_TOKENS = ["(", ")", "[", "]", " ", "  ", "set", "plus", "-", ":", "$arg0", "$arg1",
+                "$arg", "$mode0", "$mode1", "1", '"s"', "{b}", ";", "/*", "(set)", "[]"]
+_ITEMS = st.recursive(
+    st.sampled_from(["$arg0", "$arg1", "$arg2"]),
+    lambda items: st.builds(lambda head, xs: "(%s)" % " ".join([head, *xs]),
+                            st.sampled_from(["set", "plus:$mode0", "plus:$mode1", "-1",
+                                             "1:$mode0", "$arg0", "a/*b", "/*b", ":$mode0"]),
+                            st.lists(items, max_size=3))
+    | st.lists(items, max_size=3).map(lambda xs: "[%s]" % " ".join(xs)),
+    max_leaves=10)
+
+
+@st.composite
+def _near_pattern_texts(draw):
+    """A grammar text, renumbered or not, with up to two tokens put in."""
+    text = draw(_ITEMS | _ITEMS.map(renumber_holes))
+    for token in draw(st.lists(st.sampled_from(_TEXT_TOKENS), max_size=2)):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + token + text[i:]
+    return text
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_TEXT_TOKENS), max_size=16).map("".join)
+       | _near_pattern_texts())
+@example("[(set)1]")  # a list glued to the atom after it
+@example("(set(set) $arg0)")  # a list glued to the code before it
+@example("(set[])")  # a vector glued to the code before it
+def test_is_pattern_text_matches_reference(text):
+    assert is_pattern_text(text) == _reference_is_pattern_text(text)
+
+
 # ---------------------------------------------------------------------------
 # Height and the store
 
@@ -295,9 +362,14 @@ def test_substitution_roundtrip(table):
 
 
 def test_substitution_fills_whole_holes_only():
-    text = '(set:$mode0 [$arg0 "s $arg0" {$arg0}] (x y:$mode0) $arg0x)'
-    mapping = {"$mode0": "SI", "$arg0": "(reg 1)", "$arg0x": "7"}
-    assert substitute(text, mapping) == '(set:SI [(reg 1) "s $arg0" {$arg0}] (x y:$mode0) 7)'
+    # a code may hold or be a hole's name, and $arg1 begins $arg10
+    tail = " ".join("$arg%d" % i for i in range(2, 11))
+    text = "(set:$mode0 [$arg0 ($arg1:$mode1 $arg1)] (x$arg0 %s))" % tail
+    mapping = {"$mode0": "SI", "$mode1": "DI", "$arg0": "(reg 0)", "$arg1": "1"}
+    mapping.update(("$arg%d" % i, "r%d" % i) for i in range(2, 11))
+    assert is_pattern_text(text)
+    assert (substitute(text, mapping)
+            == "(set:SI [(reg 0) ($arg1:DI 1)] (x$arg0 %s))" % tail.replace("$arg", "r"))
 
 
 def test_substitution_arity_mismatch(table):
