@@ -6,7 +6,9 @@ then one ``<id> <height> <count> <pattern>`` line per unique pattern,
 sorted by (height, id).  A pattern text must be exactly as `extract` writes
 it, as `pattern.is_pattern_text` checks: single spaces, no string or brace
 atom, and holes numbered by first occurrence.  Any other entry is malformed
-and not normalized, because `merge` adds up counts by exact text.
+and not normalized, because `merge` adds up counts by exact text.  So is
+an entry whose height is not `pattern.height` of its text, because
+archives and `merge` order patterns by height.
 
 Parameter file: one record per analyzed expression,
 ``<pattern-id> <form-kind> <form-name> $p=<value> ...`` with values
@@ -20,8 +22,8 @@ from __future__ import annotations
 import re
 
 from . import Error, sexpr
-from .pattern import (MdAnalysis, ParamBinding, PatternStore, RtlPattern, is_pattern_text,
-                      substitute)
+from .pattern import (MdAnalysis, ParamBinding, PatternStore, RtlPattern, height,
+                      is_pattern_text, substitute)
 
 
 class ArchiveError(Error):
@@ -146,7 +148,8 @@ def read_pattern_file(text: str) -> PatternFile:
             continue
         m = _ENTRY_RE.fullmatch(line)
         text = m and m.group(4)
-        if not (text and is_pattern_text(text)) or int(m.group(1)) in seen or text in seen:
+        if (not (text and is_pattern_text(text)) or int(m.group(2)) != height(text)
+                or int(m.group(1)) in seen or text in seen):
             raise MalformedEntry(lineno, line)
         pid = int(m.group(1))
         seen.update((pid, text))

@@ -1,12 +1,15 @@
 """Corpus manifests: named architectures mapped to root MD files.
 
-Line format: ``name = path [no-includes] [heads=h1,h2,...]``; ``#`` starts
-a comment; paths are resolved relative to the manifest file.
+Line format: ``name = path [no-includes] [heads=h1,h2,...]``; as in a
+shell, a ``#`` at the start of a line or after whitespace starts a comment,
+and any other ``#`` is part of a name or path; paths are resolved relative
+to the manifest file.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 from . import Error, read_text
 from .md_reader import DEFAULT_CONSIDERED_HEADS
@@ -32,7 +35,7 @@ def parse_manifest(text: str, path: str) -> list[ManifestEntry]:
     entries = []
     names = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?<!\S)#", raw, 1)[0].strip()
         if not line:
             continue
         name, _, rest = line.partition("=")

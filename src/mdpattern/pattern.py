@@ -12,9 +12,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from . import Error, md_reader, rtl, sexpr
-from .md_reader import FormKind, MissingTemplateVector
-from .rtl import RtlExpr, RtxCodeTable, rtl_text
+from . import Error, sexpr
 
 
 class PatternError(Error):
@@ -45,7 +43,7 @@ class ParamBinding:
         self.origin = origin  # the form's Loc; None when read from an archive
 
 
-def extract_pattern(tree: RtlExpr, table: RtxCodeTable, retained: frozenset,
+def extract_pattern(tree: "rtl.RtlExpr", table: "rtl.RtxCodeTable", retained: frozenset,
                     unknown_codes: Counter | None = None):
     """Abstract one expression tree in a single walk.
 
@@ -93,7 +91,7 @@ class _Walk:
             unknown_codes = self.unknown_codes
             if code is not None and unknown_codes is not None and self.table.rtx_class(code) is None:
                 unknown_codes[code] += 1
-            return _hole(self.arg_map, "arg", rtl_text(node)), 1
+            return _hole(self.arg_map, "arg", sexpr.serialize(node.source)), 1
         h = 0
         for child in node.children:
             text, child_h = self.node(child)
@@ -139,6 +137,24 @@ def is_pattern_text(text: str) -> bool:
         if not n:
             break
     return reduced == "$arg0" and renumber_holes(text) == text
+
+
+#: The list brackets and `$arg` holes of a pattern text.
+_HEIGHT_RE = re.compile(r"[()]|(?<![^ \[])\$arg")
+
+
+def height(text: str) -> int:
+    """The height `_Walk` gives a pattern text: a hole is one node high, a
+    list one more than its highest item, a vector as high as its highest
+    item, and every text at least 1."""
+    h, depth = 1, 0
+    for token in _HEIGHT_RE.findall(text):
+        if token == ")":
+            depth -= 1
+        else:  # a list or a hole, inside `depth` lists
+            h = max(h, depth + 1)
+            depth += token == "("
+    return h
 
 
 def substitute(text: str, mapping: dict) -> str:
@@ -262,6 +278,8 @@ def register_iterators(forms):
     '<attr>' refs.  The members map each code iterator defined as
     ``(define_code_iterator name [code (code "cond") ...])`` to its codes.
     """
+    from .md_reader import FormKind
+
     names = set()
     verbatim = []
     members = {}
@@ -289,8 +307,11 @@ def register_iterators(forms):
     return frozenset(names), verbatim, members
 
 
-def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True) -> MdAnalysis:
+def analyze(forms, table: "rtl.RtxCodeTable", arch_name="",
+            include_bin_arith=True) -> MdAnalysis:
     """Run the pattern pipeline over one architecture's parsed forms."""
+    from . import md_reader, rtl  # here, so that reading archives loads neither
+
     iterators, verbatim, members = register_iterators(forms)
     retained = table.retained(include_bin_arith) | iterators
     store = PatternStore()
@@ -298,13 +319,13 @@ def analyze(forms, table: RtxCodeTable, arch_name="", include_bin_arith=True) ->
     unknown = Counter()
     skipped = []
     for form in forms:
-        if form.kind is not FormKind.CONSIDERED:
+        if form.kind is not md_reader.FormKind.CONSIDERED:
             continue
         try:
             vec = md_reader.extract_template_vector(form)
             tree = rtl.build_template_tree(vec)
             pattern, assignments = extract_pattern(tree, table, retained, unknown)
-        except (MissingTemplateVector, rtl.RtlError) as exc:
+        except (md_reader.MissingTemplateVector, rtl.RtlError) as exc:
             skipped.append(str(exc))
             continue
         pid, _ = store.insert(pattern)

@@ -11,7 +11,7 @@ from mdpattern.archive import (BadHeader, DanglingPatternId, MalformedEntry,
                                template_tokens, unescape_value,
                                verify_roundtrip, write_param_file,
                                write_pattern_file)
-from mdpattern.pattern import ArityMismatch
+from mdpattern.pattern import ArityMismatch, height
 from mdpattern.sexpr import MAX_DEPTH
 
 
@@ -178,7 +178,7 @@ def test_param_records_round_trip(records):
 
 def test_read_bad_header():
     with pytest.raises(BadHeader):
-        read_pattern_file("0 1 1 (set $arg0 $arg1)\n")
+        read_pattern_file("0 2 1 (set $arg0 $arg1)\n")
     with pytest.raises(BadHeader):
         read_pattern_file("# arch: x\n# bogus: y\n")
 
@@ -221,8 +221,9 @@ def test_read_duplicate_entry_reports_line(second):
                                                + ")" * (MAX_DEPTH + 1),
                                                id="one-level-past-the-bound")])
 def test_read_rejects_malformed_pattern_text(text):
+    # the height column agrees with the text, so only the text is at fault
     with pytest.raises(MalformedEntry) as ei:
-        read_pattern_file("# arch: x\n# total_templates: 1\n0 1 1 %s\n" % text)
+        read_pattern_file("# arch: x\n# total_templates: 1\n0 %d 1 %s\n" % (height(text), text))
     assert ei.value.lineno == 3
 
 
@@ -230,7 +231,7 @@ def test_read_rejects_malformed_pattern_text(text):
 # rejects them; '\u0663' is the Arabic-Indic digit three
 @pytest.mark.parametrize("pid,ok", [("\u00b2", False), ("\u2460", False), ("\u0663", True)])
 def test_ids_are_decimal_in_both_archives(pid, ok):
-    ptext = "# arch: x\n# total_templates: 1\n%s 1 1 (set $arg0 $arg1)\n" % pid
+    ptext = "# arch: x\n# total_templates: 1\n%s 2 1 (set $arg0 $arg1)\n" % pid
     mtext = "%s define_insn a $arg0=x $arg1=y\n" % pid
     if ok:
         store, bindings, _ = read_archives(ptext, mtext)
@@ -240,14 +241,14 @@ def test_ids_are_decimal_in_both_archives(pid, ok):
         read_pattern_file(ptext)
     assert ei.value.lineno == 3
     with pytest.raises(MalformedEntry) as ei:
-        read_archives("# arch: x\n# total_templates: 1\n0 1 1 (set $arg0 $arg1)\n", mtext)
+        read_archives("# arch: x\n# total_templates: 1\n0 2 1 (set $arg0 $arg1)\n", mtext)
     assert ei.value.lineno == 1
 
 
 def test_read_accepts_pattern_text_at_the_bound():
     text = "(set " * MAX_DEPTH + "$arg0" + ")" * MAX_DEPTH
-    pf = read_pattern_file("# arch: x\n# total_templates: 1\n0 %d 1 %s\n" % (MAX_DEPTH, text))
-    assert pf.entries == [(0, MAX_DEPTH, 1, text)]
+    pf = read_pattern_file("# arch: x\n# total_templates: 1\n0 %d 1 %s\n" % (MAX_DEPTH + 1, text))
+    assert pf.entries == [(0, MAX_DEPTH + 1, 1, text)]
 
 
 def test_read_dangling_pattern_id(alpha):

@@ -159,8 +159,8 @@ def test_verify_failure_exit_code(tmp_path, capsys):
 def test_recombine_rejects_duplicate_pattern_id(tmp_path, capsys):
     patterns = tmp_path / "x.patterns"
     patterns.write_text("# arch: x\n# total_templates: 2\n"
-                        "0 1 1 (set $arg0 $arg1)\n"
-                        "0 2 1 (set $arg0 (plus:$mode0 $arg1 $arg2))\n")
+                        "0 2 1 (set $arg0 $arg1)\n"
+                        "0 3 1 (set $arg0 (plus:$mode0 $arg1 $arg2))\n")
     params = tmp_path / "x.params"
     params.write_text("0 define_insn a $arg0=(reg:SI 0) $arg1=(reg:SI 1)\n")
     code, out, err = run(capsys, "recombine", "--patterns", str(patterns),
@@ -180,6 +180,20 @@ def test_archive_reads_report_the_entry_line(tmp_path, capsys, third):
                         "# total_templates: 2\n" % third)
     params = tmp_path / "x.params"
     params.write_text("1 define_insn a $arg0=(reg:SI%200) $arg1=(reg:SI%201)\n")
+    for argv in (("recombine", "--patterns", str(patterns), "--params", str(params)),
+                 ("merge", str(patterns))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("mdpattern: line 3: malformed entry")
+
+
+def test_a_height_that_disagrees_with_the_text_is_a_parse_error(tmp_path, capsys):
+    # (set $arg0 $arg1) is 2 high; a height of 9 would order it after taller
+    # patterns in the archive and in a merge
+    patterns = tmp_path / "x.patterns"
+    patterns.write_text("# arch: x\n# total_templates: 1\n0 9 1 (set $arg0 $arg1)\n")
+    params = tmp_path / "x.params"
+    params.write_text("0 define_insn a $arg0=(reg:SI%200) $arg1=(reg:SI%201)\n")
     for argv in (("recombine", "--patterns", str(patterns), "--params", str(params)),
                  ("merge", str(patterns))):
         code, out, err = run(capsys, *argv)
@@ -527,6 +541,16 @@ def test_manifest_not_utf8_is_a_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "stats", "--manifest", str(manifest))
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("mdpattern: %s: %s" % (manifest, NOT_UTF8))
+
+
+def test_a_manifest_path_may_hold_a_hash(tmp_path, capsys):
+    (tmp_path / "a#b.md").write_bytes((DATA / "synth" / "alpha.md").read_bytes())
+    (tmp_path / "core-extra.md").write_bytes((DATA / "synth" / "core-extra.md").read_bytes())
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("alpha = a#b.md  # a copy of synth's alpha\n")
+    code, out, _ = run(capsys, "stats", "--manifest", str(manifest))
+    assert code == EXIT_OK
+    assert next(l for l in out.splitlines() if l.startswith("alpha")).split()[1] == "50"
 
 
 @pytest.mark.parametrize("line,message", [

@@ -11,7 +11,7 @@ from mdpattern import md_reader, pattern, rtl, sexpr
 from mdpattern.pattern import (ArityMismatch, PatternStore, analyze,
                                extract_pattern, is_pattern_text, register_iterators,
                                renumber_holes, subpatterns, substitute)
-from mdpattern.rtl import RtxCodeTable, build_rtl_tree, build_template_tree, rtl_text
+from mdpattern.rtl import RtxCodeTable, build_rtl_tree, build_template_tree
 
 MIPS_ADD = (
     '(set (match_operand:GPR 0 "register_operand")'
@@ -116,8 +116,7 @@ def test_no_machine_specific_nodes_remain(table):
         items = e.items
         if isinstance(e, sexpr.SList):
             code, _, mode = items[0].text.partition(":")
-            assert table.rtx_class(code) not in (rtl.RtxClass.OBJ, rtl.RtxClass.CONST_OBJ,
-                                                 rtl.RtxClass.MATCH)
+            assert table.rtx_class(code) not in ("obj", "const_obj", "match")
             assert mode == "" or mode.startswith("$mode")
             items = items[1:]
         for c in items:
@@ -150,9 +149,20 @@ def _is_pattern_operator(code, table, iterators, include_bin_arith):
     cls = table.rtx_class(code)
     if cls is None:
         return False
-    if cls is rtl.RtxClass.BIN_ARITH and not include_bin_arith:
+    if cls == "bin_arith" and not include_bin_arith:
         return False
     return cls in rtl.PATTERN_CLASSES
+
+
+def rtl_text(e):
+    """Render an RtlExpr tree back to MD syntax (single spaces) from its
+    codes, modes and leaves."""
+    if e.is_vector:
+        return "[%s]" % " ".join(rtl_text(c) for c in e.children)
+    if e.code is None:
+        return sexpr.serialize(e.source)
+    head = e.code if e.mode is None else "%s:%s" % (e.code, e.mode)
+    return "(%s)" % " ".join([head, *(rtl_text(c) for c in e.children)])
 
 
 def _reference_extract(tree, table, iterators, include_bin_arith, unknown_codes):
@@ -171,7 +181,7 @@ def _reference_extract(tree, table, iterators, include_bin_arith, unknown_codes)
         if node.is_vector:
             texts, h = walk_all(node.children)
             return "[%s]" % " ".join(texts), h
-        if node.payload is None:
+        if node.code is not None:
             if node.code not in iterators and table.rtx_class(node.code) is None:
                 unknown_codes[node.code] += 1
             if _is_pattern_operator(node.code, table, iterators, include_bin_arith):
@@ -214,6 +224,7 @@ def test_one_walk_matches_reference_extraction(seed, include_bin_arith, dropped,
         expected = _reference_extract(tree, table, iterators, include_bin_arith,
                                        expected_unknown)
         assert (p.canonical_text, p.height, assigns) == expected
+        assert pattern.height(p.canonical_text) == p.height
         assert unknown == expected_unknown
         assert substitute(p.canonical_text, dict(assigns)) == sexpr.serialize(vec)
 
@@ -323,6 +334,18 @@ def test_pattern_height(table):
     b, _ = _extract(ARM_ADD, table)
     c, _ = _extract("(parallel [(set (reg 0) (neg:SI (reg 1))) (clobber (reg 2))])", table)
     assert (a.height, b.height, c.height) == (2, 3, 4)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("$arg0", 1), ("[]", 1), ("(set)", 1), ("(set [])", 1), ("[$arg0 $arg1]", 1),
+    ("(set:$mode0)", 1), ("(x$arg0)", 1), ("(a (b:$mode0))", 2), ("(set $arg0 $arg1)", 2),
+    ("(set [$arg0] [])", 2), ("(a:$mode0 (b) $arg0)", 2),
+    ("(set $arg0 (plus:$mode0 $arg1 $arg2))", 3), ("[(set (b (c))) (clobber $arg0)]", 3),
+    ("(parallel [(set $arg0 (neg:$mode0 $arg1)) (clobber $arg2)])", 4),
+])
+def test_height_of_a_pattern_text(text, expected):
+    assert pattern.is_pattern_text(text)
+    assert pattern.height(text) == expected
 
 
 def test_store_dedup(table):
