@@ -17,8 +17,6 @@ every character that ``str.splitlines`` breaks at are written as the
 ``%XX`` of their UTF-8 bytes.
 """
 
-from __future__ import annotations
-
 import re
 
 from . import Error, sexpr
@@ -27,7 +25,16 @@ from .pattern import (MdAnalysis, ParamBinding, PatternStore, RtlPattern, height
 
 
 class ArchiveError(Error):
-    pass
+    """An archive that cannot be read; the message starts ``path:line:``,
+    ``path:`` or ``line N:``, as far as the fault's place is known."""
+
+    def __init__(self, msg, filename=None, lineno=None):
+        self.lineno = lineno
+        if lineno is not None:
+            msg = ("%s:%d: " % (filename, lineno) if filename else "line %d: " % lineno) + msg
+        elif filename:
+            msg = "%s: %s" % (filename, msg)
+        super().__init__(msg)
 
 
 class BadHeader(ArchiveError):
@@ -35,17 +42,15 @@ class BadHeader(ArchiveError):
 
 
 class MalformedEntry(ArchiveError):
-    def __init__(self, lineno, line):
-        self.lineno = lineno
-        super().__init__("line %d: malformed entry: %r" % (lineno, line))
+    def __init__(self, line, filename=None, lineno=None):
+        super().__init__("malformed entry: %r" % line, filename, lineno)
 
 
 class DanglingPatternId(ArchiveError):
-    def __init__(self, pattern_id, lineno=None):
+    def __init__(self, pattern_id, filename=None, lineno=None):
         self.pattern_id = pattern_id
-        where = "" if lineno is None else " (line %d)" % lineno
-        super().__init__("parameter record references unknown pattern id %d%s"
-                         % (pattern_id, where))
+        super().__init__("parameter record references unknown pattern id %d" % pattern_id,
+                         filename, lineno)
 
 
 #: '%', space, tab and the line breakers of str.splitlines, each mapped
@@ -123,7 +128,8 @@ def write_param_file(analysis: MdAnalysis) -> str:
 _ENTRY_RE = re.compile(r"(\d+) (\d+) (\d+) (.+)")
 
 
-def read_pattern_file(text: str) -> PatternFile:
+def read_pattern_file(text: str, filename: str | None = None) -> PatternFile:
+    """The pattern file `text`; an error names `filename` and the line."""
     arch = None
     total = None
     iterators = []
@@ -140,28 +146,30 @@ def read_pattern_file(text: str) -> PatternFile:
                 try:
                     total = int(body[len("total_templates:"):].strip())
                 except ValueError:
-                    raise BadHeader("line %d: bad total_templates" % lineno)
+                    raise BadHeader("bad total_templates", filename, lineno)
             elif body.startswith("iterator:"):
                 iterators.append(unescape_value(body[len("iterator:"):].strip()))
             else:
-                raise BadHeader("line %d: unknown header line %r" % (lineno, line))
+                raise BadHeader("unknown header line %r" % line, filename, lineno)
             continue
         m = _ENTRY_RE.fullmatch(line)
         text = m and m.group(4)
         if (not (text and is_pattern_text(text)) or int(m.group(2)) != height(text)
                 or int(m.group(1)) in seen or text in seen):
-            raise MalformedEntry(lineno, line)
+            raise MalformedEntry(line, filename, lineno)
         pid = int(m.group(1))
         seen.update((pid, text))
         entries.append((pid, int(m.group(2)), int(m.group(3)), text))
     if arch is None or total is None:
-        raise BadHeader("missing arch/total_templates header")
+        raise BadHeader("missing arch/total_templates header", filename)
     return PatternFile(arch, total, iterators, entries)
 
 
-def read_archives(pattern_text: str, param_text: str):
-    """Inverse of the write pair: rebuild the store and bindings."""
-    pf = read_pattern_file(pattern_text)
+def read_archives(pattern_text: str, param_text: str, pattern_filename: str | None = None,
+                  param_filename: str | None = None):
+    """Inverse of the write pair: rebuild the store and bindings.  An error
+    names the file it is in and the line."""
+    pf = read_pattern_file(pattern_text, pattern_filename)
     store = PatternStore()
     for pid, height, count, text in pf.entries:
         store.insert_entry(pid, RtlPattern(text, height), count)
@@ -172,16 +180,16 @@ def read_archives(pattern_text: str, param_text: str):
             continue
         fields = line.split(" ")
         if len(fields) < 3 or not fields[0].isdecimal():
-            raise MalformedEntry(lineno, line)
+            raise MalformedEntry(line, param_filename, lineno)
         pid = int(fields[0])
         if pid not in known:
-            raise DanglingPatternId(pid, lineno)
+            raise DanglingPatternId(pid, param_filename, lineno)
         assignments = []
         for f in fields[3:]:
             if not f:
                 continue
             if "=" not in f or not f.startswith("$"):
-                raise MalformedEntry(lineno, line)
+                raise MalformedEntry(line, param_filename, lineno)
             name, _, value = f.partition("=")
             assignments.append((name, unescape_value(value)))
         bindings.append(ParamBinding(pid, assignments, fields[1],

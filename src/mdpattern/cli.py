@@ -14,8 +14,6 @@ reference cycles, so reference counting frees them, and the collector
 would only rescan them as they grow.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import operator
@@ -94,7 +92,18 @@ def _load_entries(args, names=None):
 def _emit_json(data, out):
     import json
 
-    _emit(json.dumps(data, indent=2) + "\n", out)
+    _emit(json.dumps(_rounded(data), indent=2) + "\n", out)
+
+
+def _rounded(data):
+    """`data` with every float rounded to two places."""
+    if isinstance(data, float):
+        return round(data, 2)
+    if isinstance(data, dict):
+        return {k: _rounded(v) for k, v in data.items()}
+    if isinstance(data, list):
+        return [_rounded(v) for v in data]
+    return data
 
 
 def _emit(text, out=None):
@@ -148,7 +157,7 @@ def cmd_stats(args):
     data = []
     for a in analyses:
         e, p = a.expr_count, a.store.pattern_count
-        avg = round(e / p, 2) if p else 0.0
+        avg = e / p if p else 0.0
         rows.append([a.arch_name, str(e), str(p), "%.2f" % avg])
         item = {"arch": a.arch_name, "expressions": e, "patterns": p, "average": avg}
         if args.count_subpatterns:
@@ -187,34 +196,25 @@ def cmd_compare(args):
     try:
         rep = similarity.expression_similarity(a, b, args.expand_iterators)
         # the a -> b matching is the report's: b's covered expressions
-        cov_ab = rep.covered_expr_b, similarity.coverage_pct(rep.covered_expr_b, b.expr_count)
+        cov_b = rep["covered_expr_b"]
+        cov_ab = cov_b, similarity.coverage_pct(cov_b, b.expr_count)
         cov_ba = similarity.target_coverage(b, a, args.expand_iterators)
     except similarity.SimilarityError as exc:
         raise _undefined(exc, [a, b])
-    data = {
-        "arch_a": rep.arch_a,
-        "arch_b": rep.arch_b,
-        "common_patterns": rep.common_pattern_count,
-        "pattern_similarity_pct": round(rep.pattern_similarity_pct, 2),
-        "covered_expr_a": rep.covered_expr_a,
-        "covered_expr_b": rep.covered_expr_b,
-        "expression_similarity_pct": round(rep.expression_similarity_pct, 2),
-        "coverage_a_to_b": {"covered": cov_ab[0], "pct": round(cov_ab[1], 2)},
-        "coverage_b_to_a": {"covered": cov_ba[0], "pct": round(cov_ba[1], 2)},
-    }
     if args.format == "json":
-        _emit_json(data, args.out)
+        _emit_json(dict(rep, coverage_a_to_b={"covered": cov_ab[0], "pct": cov_ab[1]},
+                        coverage_b_to_a={"covered": cov_ba[0], "pct": cov_ba[1]}), args.out)
     else:
         lines = [
-            "%s vs %s" % (rep.arch_a, rep.arch_b),
+            "%s vs %s" % (rep["arch_a"], rep["arch_b"]),
             "  common patterns:        %d (%.2f%%)"
-            % (rep.common_pattern_count, rep.pattern_similarity_pct),
+            % (rep["common_patterns"], rep["pattern_similarity_pct"]),
             "  covered expressions:    %d + %d (%.2f%%)"
-            % (rep.covered_expr_a, rep.covered_expr_b, rep.expression_similarity_pct),
+            % (rep["covered_expr_a"], cov_b, rep["expression_similarity_pct"]),
             "  coverage %s -> %s:  %d (%.2f%%)"
-            % (rep.arch_a, rep.arch_b, cov_ab[0], cov_ab[1]),
+            % (rep["arch_a"], rep["arch_b"], *cov_ab),
             "  coverage %s -> %s:  %d (%.2f%%)"
-            % (rep.arch_b, rep.arch_a, cov_ba[0], cov_ba[1]),
+            % (rep["arch_b"], rep["arch_a"], *cov_ba),
         ]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -237,18 +237,10 @@ def cmd_matrix(args):
     except similarity.SimilarityError as exc:
         raise _undefined(exc, analyses)
     if args.format == "json":
-        data = {
-            "table": rep.metric,
-            "archs": rep.arch_names,
-            "cells": [
-                {"row": c.row, "col": c.col, "count": c.count, "pct": round(c.pct, 2)}
-                for c in rep.cells
-            ],
-        }
-        _emit_json(data, args.out)
+        _emit_json(rep, args.out)
     else:
-        rows = [[c.row, c.col, str(c.count), "%.2f" % c.pct] for c in rep.cells]
-        head = ["Source", "Target"] if rep.metric == "coverage" else ["Arch A", "Arch B"]
+        rows = [[c["row"], c["col"], str(c["count"]), "%.2f" % c["pct"]] for c in rep["cells"]]
+        head = ["Source", "Target"] if rep["table"] == "coverage" else ["Arch A", "Arch B"]
         _emit(_fmt_table(head + ["Count", "Pct"], rows), args.out)
     return EXIT_OK
 
@@ -256,8 +248,8 @@ def cmd_matrix(args):
 def cmd_recombine(args):
     from . import archive, read_text
 
-    store, bindings, _ = archive.read_archives(read_text(args.patterns),
-                                               read_text(args.params))
+    store, bindings, _ = archive.read_archives(read_text(args.patterns), read_text(args.params),
+                                               args.patterns, args.params)
     forms = archive.recombine(store, bindings)
     text = "\n\n".join(f.form_text for f in forms) + "\n"
     try:
@@ -272,7 +264,7 @@ def cmd_recombine(args):
 def cmd_merge(args):
     from . import archive, read_text
 
-    pfiles = [archive.read_pattern_file(read_text(path)) for path in args.patterns]
+    pfiles = [archive.read_pattern_file(read_text(path), path) for path in args.patterns]
     _emit(archive.render_pattern_file(archive.merge(pfiles, args.min_count)), args.out)
     return EXIT_OK
 

@@ -6,8 +6,6 @@ and any other ``#`` is part of a name or path; paths are resolved relative
 to the manifest file.
 """
 
-from __future__ import annotations
-
 import os
 import re
 

@@ -1,7 +1,5 @@
 """Read machine description files into classified top-level forms."""
 
-from __future__ import annotations
-
 import enum
 import os
 

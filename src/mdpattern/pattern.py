@@ -7,8 +7,6 @@ within one expression reuses the same hole, so a binding stays small.
 A pattern is its canonical text; no pattern tree outlives extraction.
 """
 
-from __future__ import annotations
-
 import re
 from collections import Counter
 

@@ -7,8 +7,6 @@ and mode, and each node keeps the parsed s-expression node it was built
 from, so a hole's text is `sexpr.serialize` of that node.
 """
 
-from __future__ import annotations
-
 import os
 
 from . import Error, read_text, sexpr

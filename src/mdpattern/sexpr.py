@@ -11,8 +11,6 @@ walks the token texts and builds every top-level form.  Equal atoms of one
 source are one node, which no code changes.
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 from itertools import accumulate, islice

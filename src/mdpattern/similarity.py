@@ -9,8 +9,6 @@ side; no other pattern can match.  Each pattern is expanded at most once
 per analysis, across both directions and all pairs.
 """
 
-from __future__ import annotations
-
 import itertools
 import re
 
@@ -28,19 +26,6 @@ class BothEmpty(SimilarityError):
 
 class EmptyTarget(SimilarityError):
     pass
-
-
-class PairReport:
-    def __init__(self, arch_a: str, arch_b: str, common_pattern_count: int,
-                 pattern_similarity_pct: float, covered_expr_a: int,
-                 covered_expr_b: int, expression_similarity_pct: float):
-        self.arch_a = arch_a
-        self.arch_b = arch_b
-        self.common_pattern_count = common_pattern_count
-        self.pattern_similarity_pct = pattern_similarity_pct
-        self.covered_expr_a = covered_expr_a
-        self.covered_expr_b = covered_expr_b
-        self.expression_similarity_pct = expression_similarity_pct
 
 
 # -- formula-level helpers (unit-testable on raw counts) --------------------
@@ -185,24 +170,24 @@ def _covered_count(analysis: MdAnalysis, ids) -> int:
     return sum(analysis.store.get(i).count for i in ids)
 
 
-def expression_similarity(a: MdAnalysis, b: MdAnalysis, expand_iterators=False) -> PairReport:
+def expression_similarity(a: MdAnalysis, b: MdAnalysis, expand_iterators=False) -> dict:
+    """The pair report, keyed and ordered as `compare --format json` prints
+    it; percentages are not rounded."""
     common = common_patterns(a, b, expand_iterators)
     p = len(common)
     cov_a = _covered_count(a, (ia for ia, _ in common))
     cov_b = _covered_count(b, (ib for _, ib in common))
-    return PairReport(
-        arch_a=a.arch_name,
-        arch_b=b.arch_name,
-        common_pattern_count=p,
-        pattern_similarity_pct=pattern_similarity_pct(
-            a.store.pattern_count, b.store.pattern_count, p
-        ),
-        covered_expr_a=cov_a,
-        covered_expr_b=cov_b,
-        expression_similarity_pct=expression_similarity_pct(
-            cov_a, cov_b, a.expr_count, b.expr_count
-        ),
-    )
+    return {
+        "arch_a": a.arch_name,
+        "arch_b": b.arch_name,
+        "common_patterns": p,
+        "pattern_similarity_pct": pattern_similarity_pct(
+            a.store.pattern_count, b.store.pattern_count, p),
+        "covered_expr_a": cov_a,
+        "covered_expr_b": cov_b,
+        "expression_similarity_pct": expression_similarity_pct(
+            cov_a, cov_b, a.expr_count, b.expr_count),
+    }
 
 
 def target_coverage(source: MdAnalysis, target: MdAnalysis,
@@ -213,40 +198,23 @@ def target_coverage(source: MdAnalysis, target: MdAnalysis,
     return covered, coverage_pct(covered, target.expr_count)
 
 
-class MatrixCell:
-    def __init__(self, row: str, col: str, count: int, pct: float):
-        self.row = row
-        self.col = col
-        self.count = count
-        self.pct = pct
-
-
-class MatrixReport:
-    def __init__(self, metric: str, arch_names: list, cells: list):
-        self.metric = metric  # 'pattern' | 'expr' | 'coverage'
-        self.arch_names = arch_names
-        self.cells = cells
-
-
-def similarity_matrix(analyses, metric: str, expand_iterators=False) -> MatrixReport:
-    """All-pairs table: upper triangle for symmetric metrics, full for coverage."""
-    names = [a.arch_name for a in analyses]
-    cells = []
+def similarity_matrix(analyses, metric: str, expand_iterators=False) -> dict:
+    """All-pairs table, keyed as `matrix --format json` prints it: upper
+    triangle for symmetric metrics, full for coverage."""
+    cells = []  # (row, col, count, pct)
     if metric == "coverage":
         for src, tgt in itertools.permutations(analyses, 2):
-            covered, pct = target_coverage(src, tgt, expand_iterators)
-            cells.append(MatrixCell(src.arch_name, tgt.arch_name, covered, pct))
+            cells.append((src, tgt, *target_coverage(src, tgt, expand_iterators)))
     elif metric in ("pattern", "expr"):
         for a, b in itertools.combinations(analyses, 2):
             rep = expression_similarity(a, b, expand_iterators)
             if metric == "pattern":
-                cells.append(MatrixCell(a.arch_name, b.arch_name,
-                                        rep.common_pattern_count,
-                                        rep.pattern_similarity_pct))
+                cells.append((a, b, rep["common_patterns"], rep["pattern_similarity_pct"]))
             else:
-                cells.append(MatrixCell(a.arch_name, b.arch_name,
-                                        rep.covered_expr_a + rep.covered_expr_b,
-                                        rep.expression_similarity_pct))
+                cells.append((a, b, rep["covered_expr_a"] + rep["covered_expr_b"],
+                              rep["expression_similarity_pct"]))
     else:
         raise ValueError("unknown metric: %r" % metric)
-    return MatrixReport(metric, names, cells)
+    return {"table": metric, "archs": [a.arch_name for a in analyses],
+            "cells": [{"row": row.arch_name, "col": col.arch_name, "count": count, "pct": pct}
+                      for row, col, count, pct in cells]}

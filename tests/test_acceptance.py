@@ -172,15 +172,15 @@ def test_criterion_5_invariant_suite():
     # symmetry and bounds
     ab = similarity.expression_similarity(alpha, beta)
     ba = similarity.expression_similarity(beta, alpha)
-    checks.append(abs(ab.pattern_similarity_pct - ba.pattern_similarity_pct) < 1e-9)
-    checks.append(abs(ab.expression_similarity_pct - ba.expression_similarity_pct) < 1e-9)
-    checks.append(0 <= ab.pattern_similarity_pct <= 100)
-    checks.append(0 <= ab.expression_similarity_pct <= 100)
+    checks.append(abs(ab["pattern_similarity_pct"] - ba["pattern_similarity_pct"]) < 1e-9)
+    checks.append(abs(ab["expression_similarity_pct"] - ba["expression_similarity_pct"]) < 1e-9)
+    checks.append(0 <= ab["pattern_similarity_pct"] <= 100)
+    checks.append(0 <= ab["expression_similarity_pct"] <= 100)
     # coverage/similarity composition
     cov_b, _ = similarity.target_coverage(alpha, beta)
     cov_a, _ = similarity.target_coverage(beta, alpha)
     composed = 100.0 * (cov_a + cov_b) / (alpha.expr_count + beta.expr_count)
-    checks.append(abs(ab.expression_similarity_pct - composed) < 1e-9)
+    checks.append(abs(ab["expression_similarity_pct"] - composed) < 1e-9)
     # merge monotonicity
     pf = archive.pattern_file_of(alpha)
     sizes = [len(archive.merge([pf], k).entries) for k in range(6)]
@@ -207,7 +207,7 @@ def test_criterion_6_motivating_example_golden():
     checks = [len(common) == 1]
     text = mips.store.get(common[0][0]).pattern.canonical_text
     checks.append(text == "[(set $arg0 (plus:$mode0 $arg1 $arg2))]")
-    pct = similarity.expression_similarity(mips, arm).pattern_similarity_pct
+    pct = similarity.expression_similarity(mips, arm)["pattern_similarity_pct"]
     checks.append(abs(pct - 100.0) < 1e-9)
     checks.append(mips.bindings[0].assignments == [
         ("$mode0", "GPR"),

@@ -191,7 +191,7 @@ def test_read_malformed_entry_reports_line():
 
 
 @pytest.mark.parametrize("second", [
-    "0 2 1 (set $arg0 (plus:$mode0 $arg1 $arg2))",  # duplicate id
+    "0 3 1 (set $arg0 (plus:$mode0 $arg1 $arg2))",  # duplicate id
     "1 2 1 (set $arg0 $arg1)",  # duplicate text
     "1 2 1 ( set  $arg0 $arg1 )",  # line 3's text but for spacing, which is not canonical
 ])

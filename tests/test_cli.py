@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import DATA, random_corpus
+from conftest import DATA, analyze_file, random_corpus
 from mdpattern.cli import (EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY, main)
 from mdpattern.sexpr import MAX_DEPTH
 
@@ -77,6 +77,25 @@ def test_compare_self_is_100(capsys):
     assert data["pattern_similarity_pct"] == 100.0
     assert data["expression_similarity_pct"] == 100.0
     assert data["coverage_a_to_b"]["pct"] == 100.0
+
+
+def test_compare_json_is_the_library_report(capsys, table):
+    # one schema: compare prints expression_similarity's dict and the two
+    # coverage entries, in that order, with every float rounded to two places
+    from mdpattern import similarity
+
+    code, out, _ = run(capsys, "compare", "alpha", "beta", "--manifest", SYNTH,
+                       "--format", "json")
+    assert code == EXIT_OK
+    a, b = (analyze_file(DATA / "synth" / ("%s.md" % n), n, table) for n in ("alpha", "beta"))
+    rep = similarity.expression_similarity(a, b)
+    (cov_ab, pct_ab), (cov_ba, pct_ba) = (similarity.target_coverage(a, b),
+                                          similarity.target_coverage(b, a))
+    assert rep["pattern_similarity_pct"] != round(rep["pattern_similarity_pct"], 2)
+    expected = {k: round(v, 2) if isinstance(v, float) else v for k, v in rep.items()}
+    expected["coverage_a_to_b"] = {"covered": cov_ab, "pct": round(pct_ab, 2)}
+    expected["coverage_b_to_a"] = {"covered": cov_ba, "pct": round(pct_ba, 2)}
+    assert list(json.loads(out).items()) == list(expected.items())
 
 
 def test_compare_fig2_pair(capsys):
@@ -166,11 +185,11 @@ def test_recombine_rejects_duplicate_pattern_id(tmp_path, capsys):
     code, out, err = run(capsys, "recombine", "--patterns", str(patterns),
                          "--params", str(params))
     assert (code, out) == (EXIT_PARSE, "")
-    assert "line 4: malformed entry" in err
+    assert err.startswith("mdpattern: %s:4: malformed entry" % patterns)
 
 
 @pytest.mark.parametrize("third", [
-    "0 1 1 (set $arg0",  # unbalanced
+    "0 2 1 (set $arg0",  # unbalanced
     "0 2 1 (set () $arg0)",  # a list without a head symbol
     "0 2 1 (set   $arg0  $arg1 )",  # line 2's text but for spacing, which is not canonical
 ])
@@ -184,7 +203,7 @@ def test_archive_reads_report_the_entry_line(tmp_path, capsys, third):
                  ("merge", str(patterns))):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_PARSE, "")
-        assert err.startswith("mdpattern: line 3: malformed entry")
+        assert err.startswith("mdpattern: %s:3: malformed entry" % patterns)
 
 
 def test_a_height_that_disagrees_with_the_text_is_a_parse_error(tmp_path, capsys):
@@ -198,7 +217,7 @@ def test_a_height_that_disagrees_with_the_text_is_a_parse_error(tmp_path, capsys
                  ("merge", str(patterns))):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_PARSE, "")
-        assert err.startswith("mdpattern: line 3: malformed entry")
+        assert err.startswith("mdpattern: %s:3: malformed entry" % patterns)
 
 
 def test_a_record_id_that_is_not_decimal_is_a_parse_error(tmp_path, capsys):
@@ -208,7 +227,25 @@ def test_a_record_id_that_is_not_decimal_is_a_parse_error(tmp_path, capsys):
     code, out, err = run(capsys, "recombine", "--patterns", str(tmp_path / "alpha.patterns"),
                          "--params", str(params))
     assert (code, out, err) == (EXIT_PARSE, "",
-                                "mdpattern: line 1: malformed entry: '\u00b2 define_insn x'\n")
+                                "mdpattern: %s:1: malformed entry: '\u00b2 define_insn x'\n"
+                                % params)
+
+
+def test_archive_errors_name_their_file(tmp_path, capsys):
+    run(capsys, "extract", "alpha", "--manifest", SYNTH, "--out-dir", str(tmp_path))
+    good, params = tmp_path / "alpha.patterns", tmp_path / "alpha.params"
+    bad = tmp_path / "bad.patterns"
+    for text, msg in [("# arch: x\n# total_templates: 1\n0 2 1 (set $arg0\n",
+                       ":3: malformed entry: '0 2 1 (set $arg0'"),
+                      ("# arch: x\n", ": missing arch/total_templates header")]:
+        bad.write_text(text)
+        code, out, err = run(capsys, "merge", str(good), str(bad))
+        assert (code, out, err) == (EXIT_PARSE, "", "mdpattern: %s%s\n" % (bad, msg))
+    records = params.read_text().splitlines()
+    params.write_text("\n".join(records + ["9999 define_insn ghost"]) + "\n")
+    code, out, err = run(capsys, "recombine", "--patterns", str(good), "--params", str(params))
+    assert (code, out, err) == (EXIT_PARSE, "", "mdpattern: %s:%d: parameter record references "
+                                "unknown pattern id 9999\n" % (params, len(records) + 1))
 
 
 def test_stats_stray_closing_brace_is_parse_error(tmp_path, capsys):

@@ -53,9 +53,9 @@ def test_empty_denominators():
 def test_self_comparison_is_total(alpha):
     assert len(common_patterns(alpha, alpha)) == alpha.store.pattern_count
     rep = expression_similarity(alpha, alpha)
-    assert rep.pattern_similarity_pct == pytest.approx(100.0)
-    assert rep.expression_similarity_pct == pytest.approx(100.0)
-    assert rep.covered_expr_a == rep.covered_expr_b == alpha.expr_count
+    assert rep["pattern_similarity_pct"] == pytest.approx(100.0)
+    assert rep["expression_similarity_pct"] == pytest.approx(100.0)
+    assert rep["covered_expr_a"] == rep["covered_expr_b"] == alpha.expr_count
     covered, pct = target_coverage(alpha, alpha)
     assert covered == alpha.expr_count and pct == pytest.approx(100.0)
 
@@ -67,26 +67,27 @@ def test_disjoint_corpora(table):
         '(define_insn "y" [(unspec [(reg 0)] 1)] "" "")'), table, "b")
     assert common_patterns(a, b) == []
     rep = expression_similarity(a, b)
-    assert rep.pattern_similarity_pct == 0.0
-    assert rep.expression_similarity_pct == 0.0
+    assert rep["pattern_similarity_pct"] == 0.0
+    assert rep["expression_similarity_pct"] == 0.0
 
 
 def test_symmetry(alpha, beta):
     ab = expression_similarity(alpha, beta)
     ba = expression_similarity(beta, alpha)
-    assert ab.pattern_similarity_pct == pytest.approx(ba.pattern_similarity_pct)
-    assert ab.expression_similarity_pct == pytest.approx(ba.expression_similarity_pct)
-    assert (ab.covered_expr_a, ab.covered_expr_b) == (ba.covered_expr_b, ba.covered_expr_a)
+    assert ab["pattern_similarity_pct"] == pytest.approx(ba["pattern_similarity_pct"])
+    assert ab["expression_similarity_pct"] == pytest.approx(ba["expression_similarity_pct"])
+    assert ((ab["covered_expr_a"], ab["covered_expr_b"])
+            == (ba["covered_expr_b"], ba["covered_expr_a"]))
 
 
 def test_bounds(alpha, beta):
     rep = expression_similarity(alpha, beta)
-    assert 0 <= rep.pattern_similarity_pct <= 100
-    assert 0 <= rep.expression_similarity_pct <= 100
-    assert 0 <= rep.common_pattern_count <= min(alpha.store.pattern_count,
-                                                beta.store.pattern_count)
-    assert rep.covered_expr_a <= alpha.expr_count
-    assert rep.covered_expr_b <= beta.expr_count
+    assert 0 <= rep["pattern_similarity_pct"] <= 100
+    assert 0 <= rep["expression_similarity_pct"] <= 100
+    assert 0 <= rep["common_patterns"] <= min(alpha.store.pattern_count,
+                                              beta.store.pattern_count)
+    assert rep["covered_expr_a"] <= alpha.expr_count
+    assert rep["covered_expr_b"] <= beta.expr_count
 
 
 def test_coverage_not_symmetric(alpha, beta):
@@ -100,9 +101,9 @@ def test_composition_identity(alpha, beta):
     rep = expression_similarity(alpha, beta)
     cov_b, _ = target_coverage(alpha, beta)  # expressions of beta covered
     cov_a, _ = target_coverage(beta, alpha)
-    assert rep.covered_expr_a == cov_a
-    assert rep.covered_expr_b == cov_b
-    lhs = rep.expression_similarity_pct
+    assert rep["covered_expr_a"] == cov_a
+    assert rep["covered_expr_b"] == cov_b
+    lhs = rep["expression_similarity_pct"]
     rhs = 100.0 * (cov_a + cov_b) / (alpha.expr_count + beta.expr_count)
     assert lhs == pytest.approx(rhs)
 
@@ -117,7 +118,7 @@ def test_covered_counts_match_membership_scan(table, alpha, beta):
         if alpha.store.get(b.pattern_id).pattern.canonical_text in common
     )
     rep = expression_similarity(alpha, beta)
-    assert rep.covered_expr_a == scan
+    assert rep["covered_expr_a"] == scan
 
 
 @settings(max_examples=30, deadline=None)
@@ -127,10 +128,10 @@ def test_symmetry_random(table, seed_a, seed_b):
     b = pattern.analyze(md_reader.parse_md(random_corpus(seed_b)), table, "b")
     ab = expression_similarity(a, b)
     ba = expression_similarity(b, a)
-    assert ab.pattern_similarity_pct == pytest.approx(ba.pattern_similarity_pct)
-    assert ab.expression_similarity_pct == pytest.approx(ba.expression_similarity_pct)
-    assert 0 <= ab.pattern_similarity_pct <= 100
-    assert 0 <= ab.expression_similarity_pct <= 100
+    assert ab["pattern_similarity_pct"] == pytest.approx(ba["pattern_similarity_pct"])
+    assert ab["expression_similarity_pct"] == pytest.approx(ba["expression_similarity_pct"])
+    assert 0 <= ab["pattern_similarity_pct"] <= 100
+    assert 0 <= ab["expression_similarity_pct"] <= 100
 
 
 # -- matrices ----------------------------------------------------------------
@@ -143,17 +144,17 @@ def _analyses(table, n):
 
 def test_matrix_cell_counts(table):
     fives = _analyses(table, 5)
-    assert len(similarity_matrix(fives, "pattern").cells) == 10
-    assert len(similarity_matrix(fives, "expr").cells) == 10
-    assert len(similarity_matrix(fives, "coverage").cells) == 20
+    assert len(similarity_matrix(fives, "pattern")["cells"]) == 10
+    assert len(similarity_matrix(fives, "expr")["cells"]) == 10
+    assert len(similarity_matrix(fives, "coverage")["cells"]) == 20
 
 
 def test_matrix_identical_corpora(table):
     a = pattern.analyze(md_reader.parse_md(random_corpus(1)), table, "a")
     b = pattern.analyze(md_reader.parse_md(random_corpus(1)), table, "b")
     rep = similarity_matrix([a, b], "pattern")
-    assert len(rep.cells) == 1
-    assert rep.cells[0].pct == pytest.approx(100.0)
+    assert len(rep["cells"]) == 1
+    assert rep["cells"][0]["pct"] == pytest.approx(100.0)
 
 
 def test_matrix_rejects_unknown_metric(table):
