@@ -25,4 +25,4 @@ def read_text(path, error=Error):
     except UnicodeDecodeError as exc:
         raise error("%s: %s" % (path, exc)) from None
     except OSError as exc:
-        raise error(str(exc)) from None
+        raise error("%s: %s" % (path, exc.strerror)) from None

@@ -1,5 +1,8 @@
 """Text archives: pattern files, parameter files, recombination, merging.
 
+In memory, archives are a `pattern.MdAnalysis`: `read_pattern_file` and
+`merge` give one with no bindings, `read_archives` one with its bindings.
+
 Pattern file: ``#``-prefixed header lines (arch, total_templates, one line
 per iterator definition, with ``%`` and the line breakers below escaped)
 then one ``<id> <height> <count> <pattern>`` line per unique pattern,
@@ -8,7 +11,9 @@ it, as `pattern.is_pattern_text` checks: single spaces, no string or brace
 atom, and holes numbered by first occurrence.  Any other entry is malformed
 and not normalized, because `merge` adds up counts by exact text.  So is
 an entry whose height is not `pattern.height` of its text, because
-archives and `merge` order patterns by height.
+archives and `merge` order patterns by height.  total_templates is the
+analysis's `expr_count`: the templates the archive sums up, including
+those whose patterns `merge --min-count` dropped.
 
 Parameter file: one record per analyzed expression,
 ``<pattern-id> <form-kind> <form-name> $p=<value> ...`` with values
@@ -80,36 +85,16 @@ def unescape_value(s: str) -> str:
     return _PERCENT_RUN_RE.sub(_decode_run, s) if "%" in s else s
 
 
-class PatternFile:
-    def __init__(self, arch: str, total_templates: int, iterators: list, entries: list):
-        self.arch = arch
-        self.total_templates = total_templates
-        self.iterators = iterators
-        self.entries = entries  # (id, height, count, text)
-
-
 # ---------------------------------------------------------------------------
 # Writing
 
 
-def pattern_file_of(analysis: MdAnalysis) -> PatternFile:
-    entries = [
-        (e.pattern_id, e.pattern.height, e.count, e.pattern.canonical_text)
-        for e in analysis.store.entries()
-    ]
-    return PatternFile(analysis.arch_name, analysis.store.total_templates,
-                       list(analysis.iterators), entries)
-
-
-def render_pattern_file(pf: PatternFile) -> str:
-    lines = ["# arch: %s" % pf.arch, "# total_templates: %d" % pf.total_templates]
-    lines.extend("# iterator: %s" % it.translate(_HEADER_ESCAPES) for it in pf.iterators)
-    lines.extend("%d %d %d %s" % entry for entry in pf.entries)
-    return "\n".join(lines) + "\n"
-
-
 def write_pattern_file(analysis: MdAnalysis) -> str:
-    return render_pattern_file(pattern_file_of(analysis))
+    lines = ["# arch: %s" % analysis.arch_name, "# total_templates: %d" % analysis.expr_count]
+    lines.extend("# iterator: %s" % it.translate(_HEADER_ESCAPES) for it in analysis.iterators)
+    lines.extend("%d %d %d %s" % (e.pattern_id, e.pattern.height, e.count,
+                                  e.pattern.canonical_text) for e in analysis.store.entries())
+    return "\n".join(lines) + "\n"
 
 
 def write_param_file(analysis: MdAnalysis) -> str:
@@ -128,13 +113,12 @@ def write_param_file(analysis: MdAnalysis) -> str:
 _ENTRY_RE = re.compile(r"(\d+) (\d+) (\d+) (.+)")
 
 
-def read_pattern_file(text: str, filename: str | None = None) -> PatternFile:
-    """The pattern file `text`; an error names `filename` and the line."""
-    arch = None
-    total = None
+def read_pattern_file(text: str, filename: str | None = None) -> MdAnalysis:
+    """The analysis the pattern file `text` holds, with no bindings; an error
+    names `filename` and the line."""
+    arch = total = None
     iterators = []
-    entries = []
-    seen = set()  # ids (int) and texts (str) so far: each must be unique
+    store = PatternStore()
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -155,26 +139,19 @@ def read_pattern_file(text: str, filename: str | None = None) -> PatternFile:
         m = _ENTRY_RE.fullmatch(line)
         text = m and m.group(4)
         if (not (text and is_pattern_text(text)) or int(m.group(2)) != height(text)
-                or int(m.group(1)) in seen or text in seen):
+                or not store.insert_entry(int(m.group(1)), RtlPattern(text, int(m.group(2))),
+                                          int(m.group(3)))):
             raise MalformedEntry(line, filename, lineno)
-        pid = int(m.group(1))
-        seen.update((pid, text))
-        entries.append((pid, int(m.group(2)), int(m.group(3)), text))
     if arch is None or total is None:
         raise BadHeader("missing arch/total_templates header", filename)
-    return PatternFile(arch, total, iterators, entries)
+    return MdAnalysis(arch, store, [], iterators, expr_count=total)
 
 
 def read_archives(pattern_text: str, param_text: str, pattern_filename: str | None = None,
-                  param_filename: str | None = None):
-    """Inverse of the write pair: rebuild the store and bindings.  An error
-    names the file it is in and the line."""
-    pf = read_pattern_file(pattern_text, pattern_filename)
-    store = PatternStore()
-    for pid, height, count, text in pf.entries:
-        store.insert_entry(pid, RtlPattern(text, height), count)
-    known = {pid for pid, _, _, _ in pf.entries}
-    bindings = []
+                  param_filename: str | None = None) -> MdAnalysis:
+    """Inverse of the write pair: the analysis with its store and bindings.
+    An error names the file it is in and the line."""
+    analysis = read_pattern_file(pattern_text, pattern_filename)
     for lineno, line in enumerate(param_text.splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -182,7 +159,7 @@ def read_archives(pattern_text: str, param_text: str, pattern_filename: str | No
         if len(fields) < 3 or not fields[0].isdecimal():
             raise MalformedEntry(line, param_filename, lineno)
         pid = int(fields[0])
-        if pid not in known:
+        if pid not in analysis.store:
             raise DanglingPatternId(pid, param_filename, lineno)
         assignments = []
         for f in fields[3:]:
@@ -192,9 +169,9 @@ def read_archives(pattern_text: str, param_text: str, pattern_filename: str | No
                 raise MalformedEntry(line, param_filename, lineno)
             name, _, value = f.partition("=")
             assignments.append((name, unescape_value(value)))
-        bindings.append(ParamBinding(pid, assignments, fields[1],
-                                     unescape_value(fields[2])))
-    return store, bindings, pf
+        analysis.bindings.append(ParamBinding(pid, assignments, fields[1],
+                                              unescape_value(fields[2])))
+    return analysis
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +188,18 @@ class RegeneratedForm:
         self.form_text = form_text
 
 
-def recombine(store: PatternStore, bindings) -> list[RegeneratedForm]:
+def recombine(analysis: MdAnalysis) -> list[RegeneratedForm]:
     """Substitute each binding into its pattern; order follows the bindings.
 
-    Output forms are skeletons: the template vector is exact, condition and
-    output-template fields are placeholders.
+    Output forms are skeletons: the name and the template vector are exact,
+    condition and output-template fields are placeholders.  Each binding's
+    pattern is in the store, as `analyze` and `read_archives` make sure.
     """
     out = []
-    for b in bindings:
-        try:
-            entry = store.get(b.pattern_id)
-        except KeyError:
-            raise DanglingPatternId(b.pattern_id)
-        template = substitute(entry.pattern.canonical_text, dict(b.assignments))
-        name = '"%s"' % b.form_name if b.form_name else '""'
+    for b in analysis.bindings:
+        template = substitute(analysis.store.get(b.pattern_id).pattern.canonical_text,
+                              dict(b.assignments))
+        name = sexpr.serialize(sexpr.StringLit(b.form_name))
         form = "(%s %s\n  %s\n  \"\"\n  \"\")" % (b.form_kind, name, template)
         out.append(RegeneratedForm(b.form_kind, b.form_name, template, form))
     return out
@@ -245,10 +220,7 @@ def verify_roundtrip(analysis: MdAnalysis, forms) -> tuple[int, int, int]:
     """
     from .md_reader import extract_template_vector
 
-    store, bindings, _ = read_archives(
-        write_pattern_file(analysis), write_param_file(analysis)
-    )
-    regen = recombine(store, bindings)
+    regen = recombine(read_archives(write_pattern_file(analysis), write_param_file(analysis)))
     by_origin = {f.origin: f for f in forms}
     orig = [sexpr.serialize(extract_template_vector(by_origin[b.origin]))
             for b in analysis.bindings]
@@ -265,29 +237,22 @@ def verify_roundtrip(analysis: MdAnalysis, forms) -> tuple[int, int, int]:
 # Merging
 
 
-def merge(pattern_files, min_count: int) -> PatternFile:
-    """Union pattern files; keep patterns occurring strictly more than
-    min_count times in total; ids are reassigned in (height, text) order."""
+def merge(analyses, min_count: int) -> MdAnalysis:
+    """Union pattern archives; keep patterns occurring strictly more than
+    min_count times in total; ids are reassigned in (height, text) order.
+    The header total is the inputs' sum, dropped patterns included."""
     counts: dict[str, int] = {}
-    heights: dict[str, int] = {}
-    iterators = []
-    seen_iter = set()
-    arch_names = []
-    total = 0
-    for pf in pattern_files:
-        if pf.arch:
-            arch_names.append(pf.arch)
-        total += pf.total_templates
-        for it in pf.iterators:
-            if it not in seen_iter:
-                seen_iter.add(it)
-                iterators.append(it)
-        for _, height, count, text in pf.entries:
-            counts[text] = counts.get(text, 0) + count
-            heights[text] = height
-    kept = sorted(
-        (t for t, c in counts.items() if c > min_count),
-        key=lambda t: (heights[t], t),
-    )
-    entries = [(i, heights[t], counts[t], t) for i, t in enumerate(kept)]
-    return PatternFile(",".join(arch_names), total, iterators, entries)
+    patterns: dict[str, RtlPattern] = {}
+    for a in analyses:
+        for e in a.store.entries():
+            text = e.pattern.canonical_text
+            counts[text] = counts.get(text, 0) + e.count
+            patterns[text] = e.pattern
+    kept = sorted((t for t, c in counts.items() if c > min_count),
+                  key=lambda t: (patterns[t].height, t))
+    store = PatternStore()
+    for i, t in enumerate(kept):
+        store.insert_entry(i, patterns[t], counts[t])
+    return MdAnalysis(",".join(a.arch_name for a in analyses if a.arch_name), store, [],
+                      list(dict.fromkeys(it for a in analyses for it in a.iterators)),
+                      expr_count=sum(a.expr_count for a in analyses))

@@ -248,9 +248,9 @@ def cmd_matrix(args):
 def cmd_recombine(args):
     from . import archive, read_text
 
-    store, bindings, _ = archive.read_archives(read_text(args.patterns), read_text(args.params),
-                                               args.patterns, args.params)
-    forms = archive.recombine(store, bindings)
+    forms = archive.recombine(archive.read_archives(read_text(args.patterns),
+                                                    read_text(args.params),
+                                                    args.patterns, args.params))
     text = "\n\n".join(f.form_text for f in forms) + "\n"
     try:
         data = text.encode("latin-1")  # the inverse of how MD files are read
@@ -264,8 +264,8 @@ def cmd_recombine(args):
 def cmd_merge(args):
     from . import archive, read_text
 
-    pfiles = [archive.read_pattern_file(read_text(path), path) for path in args.patterns]
-    _emit(archive.render_pattern_file(archive.merge(pfiles, args.min_count)), args.out)
+    analyses = [archive.read_pattern_file(read_text(path), path) for path in args.patterns]
+    _emit(archive.write_pattern_file(archive.merge(analyses, args.min_count)), args.out)
     return EXIT_OK
 
 

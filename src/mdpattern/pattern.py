@@ -216,14 +216,21 @@ class PatternStore:
         if entry is not None:
             entry.count += 1
             return entry.pattern_id, False
-        entry = self.insert_entry(len(self._by_id), p, 1)
-        return entry.pattern_id, True
+        pattern_id = len(self._by_id)
+        self.insert_entry(pattern_id, p, 1)
+        return pattern_id, True
 
-    def insert_entry(self, pattern_id, p: RtlPattern, count) -> StoreEntry:
-        """Add an entry verbatim (archive reads); ids and texts are unique."""
+    def insert_entry(self, pattern_id, p: RtlPattern, count) -> bool:
+        """Add an entry verbatim (archive reads and merges); False, and the
+        store unchanged, when its id or its text is taken."""
+        if pattern_id in self._by_id or p.canonical_text in self._by_text:
+            return False
         entry = StoreEntry(pattern_id, p, count)
         self._by_id[pattern_id] = self._by_text[p.canonical_text] = entry
-        return entry
+        return True
+
+    def __contains__(self, pattern_id) -> bool:
+        return pattern_id in self._by_id
 
     def get(self, pattern_id) -> StoreEntry:
         return self._by_id[pattern_id]
@@ -237,10 +244,6 @@ class PatternStore:
     def pattern_count(self) -> int:
         return len(self._by_text)
 
-    @property
-    def total_templates(self) -> int:
-        return sum(e.count for e in self._by_id.values())
-
     def canonical_texts(self):
         return set(self._by_text)
 
@@ -252,10 +255,14 @@ class PatternStore:
 class MdAnalysis:
     def __init__(self, arch_name: str, store: PatternStore,
                  bindings: list[ParamBinding], iterators: list[str],
-                 diagnostics: dict | None = None, code_iterators: dict | None = None):
+                 diagnostics: dict | None = None, code_iterators: dict | None = None,
+                 expr_count: int | None = None):
         self.arch_name = arch_name
         self.store = store
         self.bindings = bindings
+        # the templates the store sums up: one per binding, an archive's header,
+        # or the sum of a merge's inputs, the patterns it dropped included
+        self.expr_count = len(bindings) if expr_count is None else expr_count
         self.iterators = iterators  # verbatim iterator definition forms
         self.diagnostics = {} if diagnostics is None else diagnostics
         # name -> member codes
@@ -263,10 +270,6 @@ class MdAnalysis:
         # pattern id -> expanded texts; similarity adds a pattern the first
         # time it expands it
         self.expansions = {}
-
-    @property
-    def expr_count(self) -> int:
-        return len(self.bindings)
 
 
 def register_iterators(forms):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import DATA, analyze_file, random_corpus
 from mdpattern import archive, md_reader, pattern, rtl, sexpr, similarity
 from mdpattern.archive import (BadHeader, DanglingPatternId, MalformedEntry,
-                               PatternFile, escape_value, merge, read_archives,
-                               read_pattern_file, recombine, render_pattern_file,
+                               escape_value, merge, read_archives,
+                               read_pattern_file, recombine,
                                template_tokens, unescape_value,
                                verify_roundtrip, write_param_file,
                                write_pattern_file)
@@ -29,6 +29,12 @@ def _source_templates(forms):
     """The parser's rendering of each considered form's template vector."""
     return [sexpr.serialize(md_reader.extract_template_vector(f)) for f in forms
             if f.kind is md_reader.FormKind.CONSIDERED]
+
+
+def _rows(analysis):
+    """The (id, height, count, text) of each pattern, in archive order."""
+    return [(e.pattern_id, e.pattern.height, e.count, e.pattern.canonical_text)
+            for e in analysis.store.entries()]
 
 
 @pytest.fixture()
@@ -121,9 +127,7 @@ def test_three_expression_single_pattern_fixture(table):
         for i, m in enumerate(("SI", "DI", "HI"))
     )
     a = pattern.analyze(md_reader.parse_md(src), table, "three")
-    pf = archive.pattern_file_of(a)
-    assert len(pf.entries) == 1
-    assert pf.entries[0][2] == 3
+    assert [c for _, _, c, _ in _rows(a)] == [3]
     assert len(write_param_file(a).splitlines()) == 3
 
 
@@ -137,12 +141,11 @@ def test_write_is_deterministic(alpha, table):
 
 
 def test_read_write_roundtrip(alpha):
-    store, bindings, pf = read_archives(
-        write_pattern_file(alpha), write_param_file(alpha)
-    )
-    assert pf.arch == "alpha"
+    again = read_archives(write_pattern_file(alpha), write_param_file(alpha))
+    store, bindings = again.store, again.bindings
+    assert again.arch_name == "alpha"
     assert store.pattern_count == alpha.store.pattern_count
-    assert store.total_templates == alpha.store.total_templates
+    assert again.expr_count == alpha.expr_count
     for e in alpha.store.entries():
         got = store.get(e.pattern_id)
         assert got.pattern.canonical_text == e.pattern.canonical_text
@@ -153,6 +156,32 @@ def test_read_write_roundtrip(alpha):
         assert b.pattern_id == orig.pattern_id
         assert b.assignments == orig.assignments
         assert (b.form_kind, b.form_name) == (orig.form_kind, orig.form_name)
+
+
+def test_expr_count_is_the_templates_an_archive_sums_up(table, alpha):
+    beta = analyze_file(DATA / "synth" / "beta.md", "beta", table)
+    extracted = [alpha, beta] + [pattern.analyze(md_reader.parse_md(random_corpus(seed)),
+                                                 table, "rnd") for seed in range(3)]
+    for a in extracted:
+        assert a.expr_count == sum(c for _, _, c, _ in _rows(a)) == len(a.bindings)
+    # read back, it is the header, whatever the counts sum to
+    assert read_pattern_file("# arch: x\n# total_templates: 7\n0 2 1 (set $arg0 $arg1)\n"
+                             ).expr_count == 7
+    read = [read_pattern_file(write_pattern_file(a)) for a in (alpha, beta)]
+    assert [a.expr_count for a in read] == [alpha.expr_count, beta.expr_count]
+    # merged, it is the inputs' sum, the templates of dropped patterns included
+    merged = merge(read, 1)
+    assert merged.expr_count == alpha.expr_count + beta.expr_count
+    assert len(_rows(merged)) < len(_rows(merge(read, 0)))
+    assert sum(c for _, _, c, _ in _rows(merged)) < merged.expr_count
+    assert read_pattern_file(write_pattern_file(merged)).expr_count == merged.expr_count
+
+
+@pytest.mark.parametrize("path", sorted((DATA / "golden").glob("*/*.patterns")),
+                         ids=lambda p: "%s/%s" % (p.parent.name, p.name))
+def test_golden_pattern_files_read_and_write_back(path):
+    text = path.read_text(encoding="utf-8")
+    assert write_pattern_file(read_pattern_file(text, str(path))) == text
 
 
 #: The characters that escaping or record parsing treat specially.
@@ -171,7 +200,7 @@ def test_param_records_round_trip(records):
                                     kind, name)
                for kind, name, modes, args in records]
     a = pattern.MdAnalysis("x", store, written, [])
-    _, bindings, _ = read_archives(write_pattern_file(a), write_param_file(a))
+    bindings = read_archives(write_pattern_file(a), write_param_file(a)).bindings
     assert ([(b.form_kind, b.form_name, b.assignments) for b in bindings]
             == [(b.form_kind, b.form_name, b.assignments) for b in written])
 
@@ -234,8 +263,8 @@ def test_ids_are_decimal_in_both_archives(pid, ok):
     ptext = "# arch: x\n# total_templates: 1\n%s 2 1 (set $arg0 $arg1)\n" % pid
     mtext = "%s define_insn a $arg0=x $arg1=y\n" % pid
     if ok:
-        store, bindings, _ = read_archives(ptext, mtext)
-        assert [e.pattern_id for e in store.entries()] == [b.pattern_id for b in bindings] == [3]
+        a = read_archives(ptext, mtext)
+        assert [e.pattern_id for e in a.store.entries()] == [b.pattern_id for b in a.bindings] == [3]
         return
     with pytest.raises(MalformedEntry) as ei:
         read_pattern_file(ptext)
@@ -247,8 +276,8 @@ def test_ids_are_decimal_in_both_archives(pid, ok):
 
 def test_read_accepts_pattern_text_at_the_bound():
     text = "(set " * MAX_DEPTH + "$arg0" + ")" * MAX_DEPTH
-    pf = read_pattern_file("# arch: x\n# total_templates: 1\n0 %d 1 %s\n" % (MAX_DEPTH + 1, text))
-    assert pf.entries == [(0, MAX_DEPTH + 1, 1, text)]
+    a = read_pattern_file("# arch: x\n# total_templates: 1\n0 %d 1 %s\n" % (MAX_DEPTH + 1, text))
+    assert _rows(a) == [(0, MAX_DEPTH + 1, 1, text)]
 
 
 def test_read_dangling_pattern_id(alpha):
@@ -262,8 +291,7 @@ def test_read_dangling_pattern_id(alpha):
 
 def test_recombine_fig2_arm(fig2):
     _, arm = fig2
-    store, bindings, _ = read_archives(write_pattern_file(arm), write_param_file(arm))
-    forms = recombine(store, bindings)
+    forms = recombine(read_archives(write_pattern_file(arm), write_param_file(arm)))
     assert len(forms) == 1
     assert forms[0].form_kind == "define_expand"
     assert forms[0].form_name == "addsi3"
@@ -272,16 +300,29 @@ def test_recombine_fig2_arm(fig2):
 
 
 def test_recombine_zero_bindings(alpha):
-    store, _, _ = read_archives(write_pattern_file(alpha), "")
-    assert recombine(store, []) == []
+    assert recombine(read_archives(write_pattern_file(alpha), "")) == []
 
 
 def test_recombine_arity_mismatch(fig2):
     _, arm = fig2
-    store, bindings, _ = read_archives(write_pattern_file(arm), write_param_file(arm))
-    bindings[0].assignments.pop()
+    a = read_archives(write_pattern_file(arm), write_param_file(arm))
+    a.bindings[0].assignments.pop()
     with pytest.raises(ArityMismatch):
-        recombine(store, bindings)
+        recombine(a)
+
+
+@settings(deadline=None)
+@given(st.lists(st.text('"\\\t\n%q ', max_size=6), min_size=1, max_size=4))
+def test_recombined_forms_extract_to_the_same_archives(table, names):
+    # each name is written with the escapes of a string literal
+    source = "".join('(define_insn %s [(set (reg:SI %d) (reg:SI 1))] "" "")\n'
+                     % (sexpr.serialize(sexpr.StringLit(n)), i) for i, n in enumerate(names))
+    a = pattern.analyze(md_reader.parse_md(source), table, "q")
+    assert [b.form_name for b in a.bindings] == names
+    archives = write_pattern_file(a), write_param_file(a)
+    regen = "\n\n".join(f.form_text for f in recombine(read_archives(*archives)))
+    again = pattern.analyze(md_reader.parse_md(regen), table, "q")
+    assert (write_pattern_file(again), write_param_file(again)) == archives
 
 
 def test_verify_full_corpus(alpha, alpha_forms):
@@ -308,12 +349,12 @@ def test_verify_finds_a_fault_in_the_rtl_tree(table, monkeypatch):
 def test_verify_detects_corruption(alpha, alpha_forms):
     ptext = write_pattern_file(alpha)
     mtext = write_param_file(alpha)
-    store, bindings, _ = read_archives(ptext, mtext)
-    bindings[4].assignments = [
+    a = read_archives(ptext, mtext)
+    a.bindings[4].assignments = [
         (n, v.replace("register_operand", "corrupted_operand"))
-        for n, v in bindings[4].assignments
+        for n, v in a.bindings[4].assignments
     ]
-    regen = recombine(store, bindings)
+    regen = recombine(a)
     orig = [template_tokens(t) for t in _source_templates(alpha_forms)]
     got = [template_tokens(r.template_text) for r in regen]
     assert sum(1 for o, g in zip(orig, got) if o != g) == 1
@@ -327,8 +368,8 @@ def test_verify_compares_string_literals_exactly(table, monkeypatch):
     assert verify_roundtrip(a, forms) == (0, 0, 0)
     real = archive.recombine
 
-    def collapse_inner_space(store, bindings):
-        forms = real(store, bindings)
+    def collapse_inner_space(analysis):
+        forms = real(analysis)
         forms[0].template_text = forms[0].template_text.replace('"reg  op"', '"reg op"')
         return forms
 
@@ -374,49 +415,41 @@ def test_iterator_headers_survive_extract_merge_recombine_verify(tmp_path, capsy
 # -- merge -------------------------------------------------------------------
 
 
-def _pf(analysis):
-    return archive.pattern_file_of(analysis)
-
-
 def test_merge_with_self_doubles_counts(alpha):
-    pf = _pf(alpha)
-    merged = merge([pf, pf], 0)
-    assert len(merged.entries) == len(pf.entries)
-    by_text = {t: c for _, _, c, t in merged.entries}
-    for _, _, count, text in pf.entries:
+    merged = merge([alpha, alpha], 0)
+    assert len(_rows(merged)) == len(_rows(alpha))
+    by_text = {t: c for _, _, c, t in _rows(merged)}
+    for _, _, count, text in _rows(alpha):
         assert by_text[text] == 2 * count
-    assert merged.total_templates == 2 * pf.total_templates
+    assert merged.expr_count == 2 * alpha.expr_count
 
 
 def test_merge_threshold_is_strict(alpha):
-    pf = _pf(alpha)
-    top = max(c for _, _, c, _ in pf.entries)
-    merged = merge([pf], top)
-    assert all(c > top for _, _, c, _ in merged.entries)
+    top = max(c for _, _, c, _ in _rows(alpha))
+    merged = merge([alpha], top)
+    assert all(c > top for _, _, c, _ in _rows(merged))
 
 
 def test_merge_monotone_in_min_count(alpha):
-    pf = _pf(alpha)
-    sizes = [len(merge([pf], k).entries) for k in range(0, 6)]
+    sizes = [len(_rows(merge([alpha], k))) for k in range(0, 6)]
     assert sizes == sorted(sizes, reverse=True)
-    assert {t for *_, t in merge([pf], 0).entries} == {t for *_, t in pf.entries}
+    assert {t for *_, t in _rows(merge([alpha], 0))} == {t for *_, t in _rows(alpha)}
 
 
 def test_merge_retains_common_patterns(table, alpha):
     beta = analyze_file(DATA / "synth" / "beta.md", "beta", table)
-    merged = merge([_pf(alpha), _pf(beta)], 1)
-    kept = {t for *_, t in merged.entries}
+    merged = merge([alpha, beta], 1)
+    kept = {t for *_, t in _rows(merged)}
     common = {
         alpha.store.get(ia).pattern.canonical_text
         for ia, _ in similarity.common_patterns(alpha, beta)
     }
     assert common <= kept
-    assert merged.arch == "alpha,beta"
+    assert merged.arch_name == "alpha,beta"
 
 
 def test_merge_roundtrips_through_render(alpha):
-    pf = _pf(alpha)
-    merged = merge([pf], 0)
-    again = read_pattern_file(render_pattern_file(merged))
-    assert again.entries == merged.entries
+    merged = merge([alpha], 0)
+    again = read_pattern_file(write_pattern_file(merged))
+    assert _rows(again) == _rows(merged)
     assert again.iterators == merged.iterators

@@ -165,10 +165,9 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     from mdpattern import archive, md_reader, sexpr
 
     forms = md_reader.load_md_file(str(DATA / "synth" / "alpha.md"))
-    store, bindings, _ = archive.read_archives(
+    regen = archive.recombine(archive.read_archives(
         (tmp_path / "alpha.patterns").read_text(), text
-    )
-    regen = archive.recombine(store, bindings)
+    ))
     orig = [archive.template_tokens(sexpr.serialize(md_reader.extract_template_vector(f)))
             for f in forms if f.kind is md_reader.FormKind.CONSIDERED]
     got = [archive.template_tokens(r.template_text) for r in regen]
@@ -489,6 +488,27 @@ def test_lone_cr_in_a_string_round_trips(tmp_path, capsys):
     assert b'\n  [(set (match_operand:SI 0 "" "=r\r") (reg:SI 1))]\n' in out.read_bytes()
 
 
+def test_recombined_names_extract_to_the_same_archives(tmp_path, capsys):
+    # names with a quote, a backslash, a tab and a newline, escaped in the source
+    source = "".join('(define_insn "%s" [(set (reg:SI %d) (reg:SI 1))] "" "")\n' % (n, i)
+                     for i, n in enumerate([r'a\"b', r"c\\d", r"e\tf", r"g\nh", r'\"\\\t\n']))
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    manifest = _one_form_manifest(first, source)
+    code, _, _ = run(capsys, "extract", "one", "--manifest", manifest, "--out-dir", str(first))
+    assert code == EXIT_OK
+    code, _, _ = run(capsys, "recombine", "--patterns", str(first / "one.patterns"),
+                     "--params", str(first / "one.params"), "--out", str(second / "one.md"))
+    assert code == EXIT_OK
+    (second / "m.txt").write_text("one = one.md\n")
+    code, _, err = run(capsys, "extract", "one", "--manifest", str(second / "m.txt"),
+                       "--out-dir", str(second))
+    assert (code, err) == (EXIT_OK, "")
+    for name in ("one.patterns", "one.params"):
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("table,message", [
     ("plus bogus yes\n", ":1: bad code-table line: 'plus bogus yes'"),
     (None, "No such file or directory"),
@@ -626,6 +646,21 @@ def test_archives_not_utf8_are_parse_errors(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_PARSE, ""), argv
         assert err.startswith("mdpattern: %s: %s" % (bad, NOT_UTF8)), argv
+
+
+def test_an_input_file_that_cannot_be_opened_is_named(tmp_path, capsys):
+    run(capsys, "extract", "alpha", "--manifest", SYNTH, "--out-dir", str(tmp_path))
+    params = str(tmp_path / "alpha.params")
+    missing = str(tmp_path / "nonexist.patterns")
+    no_such = "No such file or directory"
+    for path, argv, status, reason in (
+            (missing, ["merge", missing], EXIT_PARSE, no_such),
+            (str(tmp_path), ["merge", str(tmp_path)], EXIT_PARSE, "Is a directory"),
+            (missing, ["recombine", "--patterns", missing, "--params", params], EXIT_PARSE, no_such),
+            (missing, ["stats", "--manifest", missing], EXIT_USAGE, no_such)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (status, ""), argv
+        assert err == "mdpattern: %s: %s\n" % (path, reason), argv
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):

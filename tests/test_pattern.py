@@ -357,7 +357,7 @@ def test_store_dedup(table):
     assert new1 and not new2 and id1 == id2
     assert store.pattern_count == 1
     assert store.get(id1).count == 2
-    assert store.total_templates == 2
+    assert sum(e.count for e in store.entries()) == 2
 
 
 def test_store_three_variants_one_pattern(table):
@@ -443,7 +443,6 @@ def test_analyze_counts_conserved(table):
     a = analyze_file(DATA / "synth" / "alpha.md", "alpha", table)
     assert a.expr_count == 50
     assert sum(e.count for e in a.store.entries()) == a.expr_count
-    assert a.store.total_templates == a.expr_count
 
 
 def test_analyze_registers_iterators(table):
