@@ -2,6 +2,8 @@
 
 In memory, archives are a `pattern.MdAnalysis`: `read_pattern_file` and
 `merge` give one with no bindings, `read_archives` one with its bindings.
+Only `verify_roundtrip` and `template_tokens` import `sexpr`, so reading,
+writing, recombining and merging archives loads no lexer.
 
 Pattern file: ``#``-prefixed header lines (arch, total_templates, one line
 per iterator definition, with ``%`` and the line breakers below escaped)
@@ -24,7 +26,7 @@ every character that ``str.splitlines`` breaks at are written as the
 
 import re
 
-from . import Error, sexpr
+from . import Error, escape_string
 from .pattern import (MdAnalysis, ParamBinding, PatternStore, RtlPattern, height,
                       is_pattern_text, substitute)
 
@@ -199,8 +201,7 @@ def recombine(analysis: MdAnalysis) -> list[RegeneratedForm]:
     for b in analysis.bindings:
         template = substitute(analysis.store.get(b.pattern_id).pattern.canonical_text,
                               dict(b.assignments))
-        name = sexpr.serialize(sexpr.StringLit(b.form_name))
-        form = "(%s %s\n  %s\n  \"\"\n  \"\")" % (b.form_kind, name, template)
+        form = '(%s "%s"\n  %s\n  ""\n  "")' % (b.form_kind, escape_string(b.form_name), template)
         out.append(RegeneratedForm(b.form_kind, b.form_name, template, form))
     return out
 
@@ -208,6 +209,8 @@ def recombine(analysis: MdAnalysis) -> list[RegeneratedForm]:
 def template_tokens(text: str) -> list:
     """The (kind, value) of each token: layout and comments do not count,
     and every string literal is compared by its decoded characters."""
+    from . import sexpr
+
     return [tok[:2] for tok in sexpr.tokenize(text)]
 
 
@@ -218,6 +221,7 @@ def verify_roundtrip(analysis: MdAnalysis, forms) -> tuple[int, int, int]:
 
     Returns (missing, extra, changed) counts; all zero on success.
     """
+    from . import sexpr
     from .md_reader import extract_template_vector
 
     regen = recombine(read_archives(write_pattern_file(analysis), write_param_file(analysis)))

@@ -12,9 +12,14 @@ patched module attribute takes effect.  A command runs with the cyclic
 garbage collector paused: the parse trees and pattern data hold no
 reference cycles, so reference counting frees them, and the collector
 would only rescan them as they grow.
+
+A process ends through `run`, which flushes stdout and stderr and exits
+without the interpreter's teardown, so no `atexit` handler runs; a caller
+in the same process uses `main`, which returns the exit status.
 """
 
 import argparse
+import errno
 import gc
 import operator
 import os
@@ -112,6 +117,8 @@ def _emit(text, out=None):
     write of a command goes through here."""
     if out:
         return _write_file(out, text)
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise Error("<stdout>: %s" % os.strerror(errno.EBADF), EXIT_USAGE)
     try:
         if isinstance(text, str):
             sys.stdout.write(text)
@@ -121,7 +128,7 @@ def _emit(text, out=None):
             sys.stdout.write(text.decode("latin-1"))
         sys.stdout.flush()
     except OSError as exc:
-        # give the interpreter's flush at exit a stdout that takes the rest
+        # give the flush at exit a stdout that takes the rest
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -382,5 +389,17 @@ def _run(argv):
         return exc.status
 
 
+def run():
+    """The process entry of ``python -m mdpattern`` and of the ``mdpattern``
+    script: run `main`, flush stdout and stderr, and end the process with
+    its status.  `os._exit` skips the interpreter's teardown, which frees
+    every module and object one by one and runs the `atexit` handlers."""
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None: the fd was closed when the interpreter started
+            stream.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -5,12 +5,15 @@ and replaces everything machine-chosen (operands, constants, modes,
 predicates) by ``$argN`` / ``$modeN`` holes.  Identical replaced text
 within one expression reuses the same hole, so a binding stays small.
 A pattern is its canonical text; no pattern tree outlives extraction.
+
+Only the code that walks parsed trees imports `sexpr`, so reading and
+writing archives loads no lexer.
 """
 
 import re
 from collections import Counter
 
-from . import Error, sexpr
+from . import ATOM_CHAR, MAX_DEPTH, Error
 
 
 class PatternError(Error):
@@ -33,7 +36,7 @@ class ParamBinding:
     __slots__ = ("pattern_id", "assignments", "form_kind", "form_name", "origin")
 
     def __init__(self, pattern_id: int, assignments: list, form_kind: str,
-                 form_name: str, origin: sexpr.Loc | None = None):
+                 form_name: str, origin: "sexpr.Loc | None" = None):
         self.pattern_id = pattern_id
         self.assignments = assignments  # ordered (param name text, verbatim replaced text)
         self.form_kind = form_kind  # define_* head of the originating form
@@ -52,7 +55,9 @@ def extract_pattern(tree: "rtl.RtlExpr", table: "rtl.RtxCodeTable", retained: fr
     order, and substituting them back gives the tree's single-space
     rendering.
     """
-    walk = _Walk(table, retained, unknown_codes)
+    from . import sexpr
+
+    walk = _Walk(table, retained, unknown_codes, sexpr.serialize)
     text, h = walk.node(tree)
     assignments = [(name, value) for holes in (walk.mode_map, walk.arg_map)
                    for value, name in holes.items()]
@@ -65,15 +70,17 @@ def _hole(names, kind, text):
 
 class _Walk:
     """The state of one `extract_pattern` walk: what stays, and the holes
-    named so far.  Its methods recurse through `self`, so a walk leaves no
-    reference cycle for the cyclic collector to find."""
+    named so far; `serialize` writes a hole's parsed node.  Its methods
+    recurse through `self`, so a walk leaves no reference cycle for the
+    cyclic collector to find."""
 
-    __slots__ = ("table", "retained", "unknown_codes", "arg_map", "mode_map")
+    __slots__ = ("table", "retained", "unknown_codes", "serialize", "arg_map", "mode_map")
 
-    def __init__(self, table, retained, unknown_codes):
+    def __init__(self, table, retained, unknown_codes, serialize):
         self.table = table
         self.retained = retained
         self.unknown_codes = unknown_codes
+        self.serialize = serialize
         self.arg_map: dict[str, str] = {}
         self.mode_map: dict[str, str] = {}
 
@@ -89,7 +96,7 @@ class _Walk:
             unknown_codes = self.unknown_codes
             if code is not None and unknown_codes is not None and self.table.rtx_class(code) is None:
                 unknown_codes[code] += 1
-            return _hole(self.arg_map, "arg", sexpr.serialize(node.source)), 1
+            return _hole(self.arg_map, "arg", self.serialize(node.source)), 1
         h = 0
         for child in node.children:
             text, child_h = self.node(child)
@@ -108,7 +115,7 @@ class _Walk:
 # A code is a run of atom characters but ':'; a list head, the code with its
 # mode hole, is a symbol to `sexpr` (no integer, no opening '/*').  Spaces are
 # single, each kind of hole is numbered 0, 1, ... by first occurrence, and
-# lists and vectors nest at most sexpr.MAX_DEPTH levels.
+# lists and vectors nest at most MAX_DEPTH levels.
 
 #: The holes of a pattern text: a '$' after a space, a '[' or a ':' starts
 #: one, as no code holds any of these characters.
@@ -120,7 +127,7 @@ _HOLE_RE = re.compile(r"(?<![^ \[:])\$(arg|mode)\d+")
 _GROUP_RE = re.compile(
     r"(?:\((?<![^ \[].)(?!-?\d+[ )]|/\*)%s+(?::\$mode\d+)?(?: \$arg\d+)*\)"
     r"|\[(?<![^ \[].)(?:\$arg\d+(?: \$arg\d+)*)?\])(?![^ \])])"
-    % sexpr.ATOM_CHAR.replace("^", "^:", 1))
+    % ATOM_CHAR.replace("^", "^:", 1))
 
 
 def is_pattern_text(text: str) -> bool:
@@ -130,7 +137,7 @@ def is_pattern_text(text: str) -> bool:
     of the grammar that nests at most MAX_DEPTH levels becomes one hole.
     """
     reduced = text
-    for _ in range(sexpr.MAX_DEPTH):
+    for _ in range(MAX_DEPTH):
         reduced, n = _GROUP_RE.subn("$arg0", reduced)
         if not n:
             break
@@ -279,6 +286,7 @@ def register_iterators(forms):
     '<attr>' refs.  The members map each code iterator defined as
     ``(define_code_iterator name [code (code "cond") ...])`` to its codes.
     """
+    from . import sexpr
     from .md_reader import FormKind
 
     names = set()

@@ -16,7 +16,7 @@ from collections import namedtuple
 from itertools import accumulate, islice
 from operator import length_hint
 
-from . import Error
+from . import ATOM_CHAR, MAX_DEPTH, Error, escape_string
 
 
 class SExprError(Error):
@@ -55,13 +55,6 @@ class UnexpectedToken(SExprError):
     pass
 
 
-#: How deep input may nest: the lists and vectors of one top-level form and
-#: the files of one include chain, each counting the outermost.  Real MD
-#: forms nest about a dozen levels; the recursive tree walks take up to three
-#: stack frames a level, well inside Python's default recursion limit.
-MAX_DEPTH = 200
-
-
 class NestingTooDeep(SExprError):
     """Input nests more than MAX_DEPTH levels; `loc` is the top-level form,
     or the include form that passes the bound."""
@@ -79,10 +72,8 @@ Loc = namedtuple("Loc", "filename line col")
 Token = namedtuple("Token", "kind value pos")
 
 
+#: The whitespace between tokens, which ATOM_CHAR leaves out.
 _SPACE = r" \t\r\n\f\v"
-#: A regex class of the characters an atom holds: an atom is a maximal run
-#: of them, and the characters outside it end an atom.
-ATOM_CHAR = r'[^%s()\[\]{};"]' % _SPACE
 _STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 
 #: Brace blocks nested up to this many levels are matched by the token
@@ -440,11 +431,6 @@ def parse_one(source: str, filename: str | None = None) -> SExpr:
     return exprs[0][1]
 
 
-def _escape_string(s: str) -> str:
-    return (s.replace("\\", "\\\\").replace('"', '\\"')
-             .replace("\n", "\\n").replace("\t", "\\t"))
-
-
 def serialize(e: SExpr) -> str:
     """Render with single spaces; reparsing yields a structurally equal tree."""
     if isinstance(e, Symbol):
@@ -452,7 +438,7 @@ def serialize(e: SExpr) -> str:
     if isinstance(e, Integer):
         return str(e.value)
     if isinstance(e, StringLit):
-        return '"%s"' % _escape_string(e.text)
+        return '"%s"' % escape_string(e.text)
     if isinstance(e, BraceBlock):
         return "{%s}" % e.text
     if isinstance(e, SList):

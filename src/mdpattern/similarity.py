@@ -12,7 +12,7 @@ per analysis, across both directions and all pairs.
 import itertools
 import re
 
-from . import Error, sexpr
+from . import ATOM_CHAR, Error
 from .pattern import MdAnalysis
 
 
@@ -92,7 +92,7 @@ def _expand_text(text: str, members: dict) -> tuple:
 
 #: A list head: the '(' and the run of characters after it that a symbol
 #: may hold, code and ':mode' together.
-_HEAD_RE = re.compile(r"\(%s*" % sexpr.ATOM_CHAR)
+_HEAD_RE = re.compile(r"\(%s*" % ATOM_CHAR)
 
 
 def _skeleton(text: str) -> str:

@@ -706,9 +706,9 @@ def _stdout_commands(tmp_path):
             ["merge", patterns]]
 
 
-def _run_with_stdout(stdout, argv):
+def _run_with_stdout(stdout, argv, launcher=()):
     env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-m", "mdpattern", *argv], stdout=stdout,
+    proc = subprocess.run([*launcher, sys.executable, "-m", "mdpattern", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, env=env, text=True)
     return proc.returncode, proc.stderr
 
@@ -730,6 +730,64 @@ def test_a_full_stdout_is_a_usage_error(tmp_path, capsys):
         with open("/dev/full", "w") as full:
             result = _run_with_stdout(full, argv)
         assert result == (EXIT_USAGE, "mdpattern: <stdout>: No space left on device\n"), argv
+
+
+def test_a_closed_stdout_is_a_usage_error(tmp_path, capsys):
+    # with fd 1 closed at start, the interpreter sets sys.stdout to None
+    close_fd1 = ("sh", "-c", 'exec "$@" >&-', "sh")
+    for argv in _stdout_commands(tmp_path):
+        result = _run_with_stdout(None, argv, close_fd1)
+        assert result == (EXIT_USAGE, "mdpattern: <stdout>: Bad file descriptor\n"), argv
+
+
+# -- how a process ends --------------------------------------------------------------
+# `python -m mdpattern` flushes its output and exits without the interpreter's
+# teardown; `cli.main` returns the status to a caller in the same process.
+
+
+def test_a_command_process_runs_no_atexit_handler():
+    probe = ("import atexit, runpy, sys\n"
+             "atexit.register(lambda: sys.stderr.write('atexit handler ran\\n'))\n"
+             "sys.argv = ['mdpattern', '--help']\n"
+             "runpy.run_module('mdpattern', run_name='__main__')\n")
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout.startswith("usage: mdpattern")
+
+
+@pytest.fixture
+def entry_cases(tmp_path):
+    arch = tmp_path / "arch"
+    assert main(["extract", "alpha", "--manifest", SYNTH, "--out-dir", str(arch)]) == 0
+    (tmp_path / "bad.md").write_text('(define_insn "x" [(set (reg 0) (reg 1)] "" "")\n')
+    (tmp_path / "bad.txt").write_text("bad = bad.md\n")
+    return {
+        "stats-json": (EXIT_OK, ["stats", "--manifest", SYNTH, "--format", "json"]),
+        "recombine-out": (EXIT_OK, ["recombine", "--patterns", str(arch / "alpha.patterns"),
+                                    "--params", str(arch / "alpha.params"), "--out", "{out}"]),
+        "usage-error": (EXIT_USAGE, ["stats", "--manifest", SYNTH, "--no-such-flag"]),
+        "malformed-md": (EXIT_PARSE, ["stats", "--manifest", str(tmp_path / "bad.txt")]),
+    }
+
+
+@pytest.mark.parametrize("case", ["stats-json", "recombine-out", "usage-error", "malformed-md"])
+def test_a_command_process_ends_as_main_returns(tmp_path, capsysbinary, entry_cases, case):
+    status, argv = entry_cases[case]
+    outs = tmp_path / "main.out", tmp_path / "process.out"
+    capsysbinary.readouterr()  # the fixture's extract
+    code = main([a.format(out=outs[0]) for a in argv])
+    captured = capsysbinary.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "mdpattern",
+                           *[a.format(out=outs[1]) for a in argv]], capture_output=True, env=env)
+    assert code == proc.returncode == status
+    assert captured.out == proc.stdout
+    assert captured.err.decode() == proc.stderr.decode()
+    assert (proc.stderr == b"") == (status == EXIT_OK)
+    if "{out}" in argv:
+        assert outs[0].read_bytes() == outs[1].read_bytes() != b""
 
 
 # -- the cyclic collector ----------------------------------------------------------

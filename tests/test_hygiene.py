@@ -207,7 +207,7 @@ def archives(tmp_path_factory):
 
 #: What `recombine` and `merge`, which read and write archives only, leave out.
 ARCHIVE_ONLY = {"mdpattern.similarity", "mdpattern.manifest", "mdpattern.md_reader",
-                "mdpattern.rtl", "json"}
+                "mdpattern.rtl", "mdpattern.sexpr", "json"}
 COMMANDS = [
     (["--help"], LAYERS),
     (["stats", "--manifest", SYNTH], {"mdpattern.similarity", "mdpattern.archive", "json"}),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA
-from mdpattern import md_reader, sexpr
+from mdpattern import escape_string, md_reader, sexpr
 from mdpattern.sexpr import (BraceBlock, Integer, SList, StringLit, SVector,
                              Symbol, line_col, parse_one, parse_text, serialize,
                              tokenize)
@@ -354,7 +354,7 @@ def _reference_escape(s):
 
 @given(st.text(alphabet='\\"\n\ta \r', max_size=20) | st.text(max_size=20))
 def test_escape_string_matches_per_character_reference(s):
-    assert sexpr._escape_string(s) == _reference_escape(s)
+    assert escape_string(s) == _reference_escape(s)
 
 
 # ---------------------------------------------------------------------------
