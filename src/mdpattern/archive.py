@@ -9,26 +9,26 @@ Pattern file: ``#``-prefixed header lines (arch, total_templates, one line
 per iterator definition, with ``%`` and the line breakers below escaped)
 then one ``<id> <height> <count> <pattern>`` line per unique pattern,
 sorted by (height, id).  A pattern text must be exactly as `extract` writes
-it, as `pattern.is_pattern_text` checks: single spaces, no string or brace
+it, as `pattern.pattern_holes` checks: single spaces, no string or brace
 atom, and holes numbered by first occurrence.  Any other entry is malformed
 and not normalized, because `merge` adds up counts by exact text.  So is
 an entry whose height is not `pattern.height` of its text, because
-archives and `merge` order patterns by height.  total_templates is the
-analysis's `expr_count`: the templates the archive sums up, including
-those whose patterns `merge --min-count` dropped.
+archives and `merge` order patterns by height.  total_templates, decimal
+digits like an id, is the analysis's `expr_count`: the templates the
+archive sums up, including those whose patterns `merge --min-count` dropped.
 
-Parameter file: one record per analyzed expression,
-``<pattern-id> <form-kind> <form-name> $p=<value> ...`` with values
-percent-escaped so a record stays on one line: ``%``, space, tab and
-every character that ``str.splitlines`` breaks at are written as the
-``%XX`` of their UTF-8 bytes.
+Parameter file: one record per analyzed expression, ``<pattern-id>
+<form-kind> <form-name> $p=<value> ...``: a symbol kind, then each hole of
+the pattern once, in any order.  Values are percent-escaped so a record
+stays on one line: ``%``, space, tab and every character that
+``str.splitlines`` breaks at are written as the ``%XX`` of their UTF-8 bytes.
 """
 
 import re
 
-from . import Error, escape_string
+from . import ATOM_CHAR, Error, escape_string
 from .pattern import (MdAnalysis, ParamBinding, PatternStore, RtlPattern, height,
-                      is_pattern_text, substitute)
+                      pattern_holes, substitute)
 
 
 class ArchiveError(Error):
@@ -58,6 +58,17 @@ class DanglingPatternId(ArchiveError):
         self.pattern_id = pattern_id
         super().__init__("parameter record references unknown pattern id %d" % pattern_id,
                          filename, lineno)
+
+
+class UnfitRecord(ArchiveError):
+    """A parameter record that does not name each hole of its pattern once."""
+
+    def __init__(self, pattern_id, names, holes, filename=None, lineno=None):
+        faults = (("misses", [h for h in holes if h not in names]),
+                  ("adds", [n for n in dict.fromkeys(names) if n not in holes]),
+                  ("repeats", [n for n in dict.fromkeys(names) if names.count(n) > 1]))
+        super().__init__("parameter record does not fit pattern %d: %s" % (pattern_id, "; ".join(
+            "%s %s" % (verb, " ".join(ns)) for verb, ns in faults if ns)), filename, lineno)
 
 
 #: '%', space, tab and the line breakers of str.splitlines, each mapped
@@ -113,6 +124,8 @@ def write_param_file(analysis: MdAnalysis) -> str:
 
 
 _ENTRY_RE = re.compile(r"(\d+) (\d+) (\d+) (.+)")
+#: A form kind: a symbol, so an atom that is no integer and opens no comment.
+_KIND_RE = re.compile(r"(?!-?\d+\Z|/\*)%s+" % ATOM_CHAR)
 
 
 def read_pattern_file(text: str, filename: str | None = None) -> MdAnalysis:
@@ -129,9 +142,8 @@ def read_pattern_file(text: str, filename: str | None = None) -> MdAnalysis:
             if body.startswith("arch:"):
                 arch = body[len("arch:"):].strip()
             elif body.startswith("total_templates:"):
-                try:
-                    total = int(body[len("total_templates:"):].strip())
-                except ValueError:
+                total = body[len("total_templates:"):].strip()
+                if not total.isdecimal():  # as ids are: no sign, '_' or space
                     raise BadHeader("bad total_templates", filename, lineno)
             elif body.startswith("iterator:"):
                 iterators.append(unescape_value(body[len("iterator:"):].strip()))
@@ -139,14 +151,13 @@ def read_pattern_file(text: str, filename: str | None = None) -> MdAnalysis:
                 raise BadHeader("unknown header line %r" % line, filename, lineno)
             continue
         m = _ENTRY_RE.fullmatch(line)
-        text = m and m.group(4)
-        if (not (text and is_pattern_text(text)) or int(m.group(2)) != height(text)
-                or not store.insert_entry(int(m.group(1)), RtlPattern(text, int(m.group(2))),
-                                          int(m.group(3)))):
+        holes = m and pattern_holes(m[4])
+        if (holes is None or int(m[2]) != height(m[4]) or not store.insert_entry(
+                int(m[1]), RtlPattern(m[4], int(m[2]), holes), int(m[3]))):
             raise MalformedEntry(line, filename, lineno)
     if arch is None or total is None:
         raise BadHeader("missing arch/total_templates header", filename)
-    return MdAnalysis(arch, store, [], iterators, expr_count=total)
+    return MdAnalysis(arch, store, [], iterators, expr_count=int(total))
 
 
 def read_archives(pattern_text: str, param_text: str, pattern_filename: str | None = None,
@@ -158,21 +169,19 @@ def read_archives(pattern_text: str, param_text: str, pattern_filename: str | No
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split(" ")
-        if len(fields) < 3 or not fields[0].isdecimal():
+        parts = [f.partition("=") for f in fields[3:] if f]
+        names = [name for name, eq, _ in parts if name and eq]
+        if (len(fields) < 3 or not fields[0].isdecimal() or not _KIND_RE.fullmatch(fields[1])
+                or len(names) < len(parts)):
             raise MalformedEntry(line, param_filename, lineno)
         pid = int(fields[0])
-        if pid not in analysis.store:
+        entry = analysis.store.get(pid)
+        if entry is None:
             raise DanglingPatternId(pid, param_filename, lineno)
-        assignments = []
-        for f in fields[3:]:
-            if not f:
-                continue
-            if "=" not in f or not f.startswith("$"):
-                raise MalformedEntry(line, param_filename, lineno)
-            name, _, value = f.partition("=")
-            assignments.append((name, unescape_value(value)))
-        analysis.bindings.append(ParamBinding(pid, assignments, fields[1],
-                                              unescape_value(fields[2])))
+        if names != entry.pattern.holes and sorted(names) != sorted(entry.pattern.holes):
+            raise UnfitRecord(pid, names, entry.pattern.holes, param_filename, lineno)
+        analysis.bindings.append(ParamBinding(pid, [(n, unescape_value(v)) for n, _, v in parts],
+                                              fields[1], unescape_value(fields[2])))
     return analysis
 
 

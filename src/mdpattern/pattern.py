@@ -13,23 +13,16 @@ writing archives loads no lexer.
 import re
 from collections import Counter
 
-from . import ATOM_CHAR, MAX_DEPTH, Error
-
-
-class PatternError(Error):
-    pass
-
-
-class ArityMismatch(PatternError):
-    """Binding parameters do not line up with the pattern's holes."""
+from . import ATOM_CHAR, MAX_DEPTH
 
 
 class RtlPattern:
-    __slots__ = ("canonical_text", "height")
+    __slots__ = ("canonical_text", "height", "holes")
 
-    def __init__(self, canonical_text: str, height: int):
+    def __init__(self, canonical_text: str, height: int, holes: list | None = None):
         self.canonical_text = canonical_text
         self.height = height
+        self.holes = holes  # `pattern_holes` of the text if read from an archive
 
 
 class ParamBinding:
@@ -119,7 +112,7 @@ class _Walk:
 
 #: The holes of a pattern text: a '$' after a space, a '[' or a ':' starts
 #: one, as no code holds any of these characters.
-_HOLE_RE = re.compile(r"(?<![^ \[:])\$(arg|mode)\d+")
+_HOLE_RE = re.compile(r"(?<![^ \[:])\$(?:arg|mode)\d+")
 
 #: A list or vector of `$arg` holes only, where an item stands: after the
 #: start, a space or '[' (looked back at from past the opener, so that `re`
@@ -130,18 +123,29 @@ _GROUP_RE = re.compile(
     % ATOM_CHAR.replace("^", "^:", 1))
 
 
-def is_pattern_text(text: str) -> bool:
-    """Whether `text` is a pattern text, in exactly the form `_Walk` writes.
+def pattern_holes(text: str) -> list | None:
+    """The hole names of `text`, `$mode` holes first and each kind in number
+    order, if it is a pattern text in exactly the form `_Walk` writes; None
+    if it is not.
 
     Each pass collapses the innermost lists and vectors to a hole, so a text
-    of the grammar that nests at most MAX_DEPTH levels becomes one hole.
+    of the grammar that nests at most MAX_DEPTH levels becomes one hole;
+    then each kind of hole must be numbered 0, 1, ... by first occurrence.
     """
     reduced = text
     for _ in range(MAX_DEPTH):
         reduced, n = _GROUP_RE.subn("$arg0", reduced)
         if not n:
             break
-    return reduced == "$arg0" and renumber_holes(text) == text
+    if reduced != "$arg0":
+        return None
+    modes, args = [], []
+    for name in dict.fromkeys(_HOLE_RE.findall(text)):
+        holes, kind = (args, "$arg%d") if name[1] == "a" else (modes, "$mode%d")
+        if name != kind % len(holes):
+            return None
+        holes.append(name)
+    return modes + args
 
 
 #: The list brackets and `$arg` holes of a pattern text.
@@ -163,27 +167,16 @@ def height(text: str) -> int:
 
 
 def substitute(text: str, mapping: dict) -> str:
-    """Fill a pattern text's holes from a binding."""
-    used = set()
-
-    def fill(m):
-        name = m.group()
-        if name not in mapping:
-            raise ArityMismatch("no value for %s" % name)
-        used.add(name)
-        return mapping[name]
-
-    out = _HOLE_RE.sub(fill, text)
-    unused = set(mapping) - used
-    if unused:
-        raise ArityMismatch("unused parameters: %s" % ", ".join(sorted(unused)))
-    return out
+    """Fill a pattern text's holes from a binding that names each of them,
+    as `analyze` and `archive.read_archives` make sure."""
+    return _HOLE_RE.sub(lambda m: mapping[m.group()], text)
 
 
 def renumber_holes(text: str) -> str:
     """Renumber a pattern text's holes by first occurrence, per kind."""
-    seen = {"mode": {}, "arg": {}}
-    return _HOLE_RE.sub(lambda m: _hole(seen[m.group(1)], m.group(1), m.group()), text)
+    seen = {"a": {}, "m": {}}
+    return _HOLE_RE.sub(
+        lambda m: _hole(seen[m[0][1]], "arg" if m[0][1] == "a" else "mode", m[0]), text)
 
 
 def subpatterns(text):
@@ -236,11 +229,8 @@ class PatternStore:
         self._by_id[pattern_id] = self._by_text[p.canonical_text] = entry
         return True
 
-    def __contains__(self, pattern_id) -> bool:
-        return pattern_id in self._by_id
-
-    def get(self, pattern_id) -> StoreEntry:
-        return self._by_id[pattern_id]
+    def get(self, pattern_id) -> StoreEntry | None:
+        return self._by_id.get(pattern_id)
 
     def entries(self):
         """Entries in (height, id) order, the order of archives and matching."""

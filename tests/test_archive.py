@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import DATA, analyze_file, random_corpus
 from mdpattern import archive, md_reader, pattern, rtl, sexpr, similarity
 from mdpattern.archive import (BadHeader, DanglingPatternId, MalformedEntry,
-                               escape_value, merge, read_archives,
+                               UnfitRecord, escape_value, merge, read_archives,
                                read_pattern_file, recombine,
                                template_tokens, unescape_value,
                                verify_roundtrip, write_param_file,
                                write_pattern_file)
-from mdpattern.pattern import ArityMismatch, height
+from mdpattern.pattern import height
 from mdpattern.sexpr import MAX_DEPTH
 
 
@@ -193,12 +193,16 @@ _FIELDS = st.text(_FIELD_CHARS, max_size=8) | st.text(max_size=8)
                           st.lists(_FIELDS, max_size=2), st.lists(_FIELDS, max_size=3)),
                 max_size=4))
 def test_param_records_round_trip(records):
+    # each record's pattern has exactly the record's holes
     store = pattern.PatternStore()
-    store.insert(pattern.RtlPattern("[$arg0]", 1))
-    written = [pattern.ParamBinding(0, [("$mode%d" % i, v) for i, v in enumerate(modes)]
-                                    + [("$arg%d" % i, v) for i, v in enumerate(args)],
-                                    kind, name)
-               for kind, name, modes, args in records]
+    written = []
+    for kind, name, modes, args in records:
+        text = "[%s]" % " ".join(["(c:$mode%d)" % i for i in range(len(modes))]
+                                 + ["$arg%d" % i for i in range(len(args))])
+        pid, _ = store.insert(pattern.RtlPattern(text, height(text)))
+        written.append(pattern.ParamBinding(
+            pid, [("$mode%d" % i, v) for i, v in enumerate(modes)]
+            + [("$arg%d" % i, v) for i, v in enumerate(args)], kind, name))
     a = pattern.MdAnalysis("x", store, written, [])
     bindings = read_archives(write_pattern_file(a), write_param_file(a)).bindings
     assert ([(b.form_kind, b.form_name, b.assignments) for b in bindings]
@@ -210,6 +214,12 @@ def test_read_bad_header():
         read_pattern_file("0 2 1 (set $arg0 $arg1)\n")
     with pytest.raises(BadHeader):
         read_pattern_file("# arch: x\n# bogus: y\n")
+    # a count is decimal digits only, as an id is: int() would take the rest
+    for total in ("-3", "+3", "1_0", "1 0", "", "\u00b2"):
+        with pytest.raises(BadHeader) as ei:
+            read_pattern_file("# arch: x\n# total_templates: %s\n" % total, "x.patterns")
+        assert str(ei.value) == "x.patterns:2: bad total_templates"
+    assert read_pattern_file("# arch: x\n# total_templates:  07 \n").expr_count == 7
 
 
 def test_read_malformed_entry_reports_line():
@@ -286,6 +296,58 @@ def test_read_dangling_pattern_id(alpha):
         read_archives(ptext, "9999 define_insn ghost $arg0=x\n")
 
 
+FIT_PATTERNS = "# arch: x\n# total_templates: 2\n0 2 1 (set $arg0 $arg1)\n1 1 1 (c:$mode0)\n"
+
+
+@pytest.mark.parametrize("kind", ["define_insn", "a:b", "-", "x-1", "\u00b2", "a/*b"])
+def test_read_accepts_a_symbol_as_form_kind(kind):
+    a = read_archives(FIT_PATTERNS, "0 %s n $arg0=x $arg1=y\n" % kind)
+    assert [b.form_kind for b in a.bindings] == [kind]
+
+
+# a kind is written as the head of a recombined form, so it must read as a symbol
+@pytest.mark.parametrize("kind", ["(weird", "", "12", "-3", "\u0663", "/*x", "a;b", 'a"b',
+                                  "a]", "{b}", "a\tb"])
+def test_read_rejects_a_form_kind_that_is_no_symbol(kind):
+    record = "0 %s a $arg0=x $arg1=y" % kind
+    with pytest.raises(MalformedEntry) as ei:
+        read_archives(FIT_PATTERNS, "1 define_insn b $mode0=SI\n%s\n" % record, None, "x.params")
+    assert str(ei.value) == "x.params:2: malformed entry: %r" % record
+
+
+def test_read_rejects_a_record_that_does_not_fit_its_pattern():
+    for fields, fault in [
+            ("$arg0=x", "misses $arg1"),
+            ("$arg1=y", "misses $arg0"),
+            ("$arg0=x $arg1=y $arg9=z", "adds $arg9"),
+            ("$arg0=x $arg1=y $mode0=SI", "adds $mode0"),
+            ("$arg0=x $arg1=y junk=1", "adds junk"),
+            ("$arg0=x $arg1=y $arg0=z", "repeats $arg0"),
+            ("$arg0=x $arg0=z", "misses $arg1; repeats $arg0"),
+            ("$arg0=x $arg2=y $arg2=z", "misses $arg1; adds $arg2; repeats $arg2"),
+            ("", "misses $arg0 $arg1")]:
+        with pytest.raises(UnfitRecord) as ei:
+            read_archives(FIT_PATTERNS, "1 define_insn b $mode0=SI\n0 define_insn a %s\n"
+                          % fields, None, "x.params")
+        assert str(ei.value) == ("x.params:2: parameter record does not fit pattern 0: %s"
+                                 % fault), fields
+        assert ei.value.lineno == 2
+
+
+def test_read_takes_the_fields_of_a_record_in_any_order():
+    a = read_archives(FIT_PATTERNS, "0 define_insn a $arg1=y  $arg0=x\n")
+    assert a.bindings[0].assignments == [("$arg1", "y"), ("$arg0", "x")]
+    assert recombine(a)[0].template_text == "(set x y)"
+
+
+@pytest.mark.parametrize("field", ["$arg1", "$arg1y", "=", "=y"])
+def test_read_rejects_a_field_without_a_name_or_value(field):
+    record = "0 define_insn a $arg0=x %s" % field
+    with pytest.raises(MalformedEntry) as ei:
+        read_archives(FIT_PATTERNS, record + "\n")
+    assert ei.value.lineno == 1
+
+
 # -- recombination -----------------------------------------------------------
 
 
@@ -301,14 +363,6 @@ def test_recombine_fig2_arm(fig2):
 
 def test_recombine_zero_bindings(alpha):
     assert recombine(read_archives(write_pattern_file(alpha), "")) == []
-
-
-def test_recombine_arity_mismatch(fig2):
-    _, arm = fig2
-    a = read_archives(write_pattern_file(arm), write_param_file(arm))
-    a.bindings[0].assignments.pop()
-    with pytest.raises(ArityMismatch):
-        recombine(a)
 
 
 @settings(deadline=None)

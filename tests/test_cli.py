@@ -230,6 +230,25 @@ def test_a_record_id_that_is_not_decimal_is_a_parse_error(tmp_path, capsys):
                                 % params)
 
 
+def test_a_record_that_does_not_fit_its_pattern_names_its_line(tmp_path, capsys):
+    # each record misses, adds or repeats a hole of (set $arg0 $arg1)
+    patterns = tmp_path / "x.patterns"
+    patterns.write_text("# arch: x\n# total_templates: 1\n0 2 1 (set $arg0 $arg1)\n")
+    params = tmp_path / "x.params"
+    good = "0 define_insn ok $arg0=(reg%200) $arg1=(reg%201)"
+    for bad, fault in [("0 define_insn a $arg0=(reg%201)", "misses $arg1"),
+                       ("0 define_insn b $arg0=(reg%201) $arg1=(reg%202) $arg9=(reg%203)",
+                        "adds $arg9"),
+                       ("0 define_insn c $arg0=(reg%201) $arg1=(reg%202) $arg0=(reg%209)",
+                        "repeats $arg0")]:
+        params.write_text("%s\n%s\n" % (good, bad))
+        code, out, err = run(capsys, "recombine", "--patterns", str(patterns),
+                             "--params", str(params))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == ("mdpattern: %s:2: parameter record does not fit pattern 0: %s\n"
+                       % (params, fault))
+
+
 def test_archive_errors_name_their_file(tmp_path, capsys):
     run(capsys, "extract", "alpha", "--manifest", SYNTH, "--out-dir", str(tmp_path))
     good, params = tmp_path / "alpha.patterns", tmp_path / "alpha.params"
@@ -245,6 +264,35 @@ def test_archive_errors_name_their_file(tmp_path, capsys):
     code, out, err = run(capsys, "recombine", "--patterns", str(good), "--params", str(params))
     assert (code, out, err) == (EXIT_PARSE, "", "mdpattern: %s:%d: parameter record references "
                                 "unknown pattern id 9999\n" % (params, len(records) + 1))
+
+
+def test_matrix_of_one_architecture_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "one.md").write_text('(define_insn "x" [(set (reg 0) (reg 1))] "" "")\n')
+    (tmp_path / "m.txt").write_text("one = one.md\n")
+    code, out, err = run(capsys, "matrix", "--manifest", str(tmp_path / "m.txt"))
+    assert (code, out, err) == (EXIT_USAGE, "",
+                                "mdpattern: matrix needs at least two architectures\n")
+
+
+def test_templates_whose_head_is_no_symbol_are_skipped(tmp_path, capsys, table):
+    ok = '(define_insn "ok" [(set (reg 0) (reg 1))] "" "")\n'
+    bad = "".join('(define_insn "b%d" [%s] "" "")\n' % (i, t) for i, t in
+                  enumerate(['(1 (reg 1))', '((x) (reg 1))', '("s" (reg 1))']))
+    (tmp_path / "ok.md").write_text(ok)
+    (tmp_path / "bad.md").write_text(ok + bad)
+    (tmp_path / "m.txt").write_text("ok = ok.md\nbad = bad.md\n")
+    analysis = analyze_file(tmp_path / "bad.md", "bad", table)
+    assert analysis.diagnostics["skipped"] == [
+        "RTL head is not a symbol: %s" % t for t in ('(1 (reg 1))', '((x) (reg 1))',
+                                                     '("s" (reg 1))')]
+    manifest = ["--manifest", str(tmp_path / "m.txt")]
+    code, out, _ = run(capsys, "stats", "--format", "json", *manifest)
+    rows = json.loads(out)["rows"]
+    assert code == EXIT_OK and rows[0] == dict(rows[1], arch="ok")
+    assert (rows[1]["expressions"], rows[1]["patterns"]) == (1, 1)
+    code, out, err = run(capsys, "verify", *manifest)
+    assert (code, out, err) == (EXIT_OK, "ok: 0 missing / 0 extra / 0 changed\n"
+                                "bad: 0 missing / 0 extra / 0 changed\n", "")
 
 
 def test_stats_stray_closing_brace_is_parse_error(tmp_path, capsys):
@@ -467,8 +515,9 @@ def test_verify_reports_an_unreadable_archive(tmp_path, capsys, monkeypatch):
                         lambda s: s.replace("%", "%25").replace(" ", "%20"))
     manifest = _one_form_manifest(tmp_path, FORM_FEED_MD)
     code, out, err = run(capsys, "verify", "--manifest", manifest)
-    assert (code, out) == (EXIT_PARSE, "")
-    assert err.startswith("mdpattern: one: line 2: malformed entry")
+    # the record breaks at the form feed, so its first line lacks the last hole
+    assert (code, out, err) == (EXIT_PARSE, "", "mdpattern: one: line 1: parameter record "
+                                "does not fit pattern 0: misses $arg2\n")
 
 
 # a lone CR inside a template string; reading must not turn it into LF

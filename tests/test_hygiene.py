@@ -152,8 +152,8 @@ def test_every_error_is_an_mdpattern_error():
             module = importlib.import_module(
                 "mdpattern" if path.stem == "__init__" else "mdpattern." + path.stem)
             found.update((cls.__name__, cls) for cls in defined_exceptions(module))
-    assert {"Error", "SExprError", "MdReaderError", "RtlError", "PatternError",
-            "ArchiveError", "SimilarityError", "ManifestError"} <= set(found)
+    assert {"Error", "SExprError", "MdReaderError", "RtlError", "ArchiveError",
+            "SimilarityError", "ManifestError"} <= set(found)
     for name, cls in found.items():
         assert issubclass(cls, mdpattern.Error) and cls.status in (1, 2), name
 

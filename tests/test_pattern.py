@@ -8,9 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import analyze_file, random_corpus, DATA
 from test_rtl import height
 from mdpattern import md_reader, pattern, rtl, sexpr
-from mdpattern.pattern import (ArityMismatch, PatternStore, analyze,
-                               extract_pattern, is_pattern_text, register_iterators,
-                               renumber_holes, subpatterns, substitute)
+from mdpattern.pattern import (PatternStore, analyze, extract_pattern, pattern_holes,
+                               register_iterators, renumber_holes, subpatterns, substitute)
 from mdpattern.rtl import RtxCodeTable, build_rtl_tree, build_template_tree
 
 MIPS_ADD = (
@@ -258,15 +257,15 @@ def test_alpha_invariance_under_renaming(rng):
     assert renumber_holes(shuffled) == text
 
 
-def _reference_is_pattern_text(text):
-    """Whether `text` is a pattern text, decided on the parser's tree: every
-    list head is code or code:$modeN, every other atom is $argN, the holes
-    of each kind are numbered by first occurrence, and the text is the
-    tree's single-space rendering."""
+def _reference_pattern_holes(text):
+    """The hole names of `text`, modes first, if it is a pattern text, decided
+    on the parser's tree: every list head is code or code:$modeN, every other
+    atom is $argN, the holes of each kind are numbered by first occurrence,
+    and the text is the tree's single-space rendering; None if it is not."""
     try:
         tree = sexpr.parse_one(text)
     except sexpr.SExprError:
-        return False
+        return None
     holes = []  # (kind, name) of each hole, in textual order
 
     def valid(e):
@@ -285,12 +284,14 @@ def _reference_is_pattern_text(text):
         return False
 
     if not valid(tree) or sexpr.serialize(tree) != text:
-        return False
-    for kind in ("$arg", "$mode"):
+        return None
+    found = []
+    for kind in ("$mode", "$arg"):
         names = list(dict.fromkeys(name for k, name in holes if k == kind))
         if names != ["%s%d" % (kind, i) for i in range(len(names))]:
-            return False
-    return True
+            return None
+        found += names
+    return found
 
 
 _TEXT_TOKENS = ["(", ")", "[", "]", " ", "  ", "set", "plus", "-", ":", "$arg0", "$arg1",
@@ -321,8 +322,10 @@ def _near_pattern_texts(draw):
 @example("[(set)1]")  # a list glued to the atom after it
 @example("(set(set) $arg0)")  # a list glued to the code before it
 @example("(set[])")  # a vector glued to the code before it
+@example("[]")  # no hole at all
+@example("(set:$mode0 $arg0 (plus:$mode1 $arg1 $arg0) (neg:$mode0 $arg2))")  # kinds interleaved
 def test_is_pattern_text_matches_reference(text):
-    assert is_pattern_text(text) == _reference_is_pattern_text(text)
+    assert pattern_holes(text) == _reference_pattern_holes(text)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +347,7 @@ def test_pattern_height(table):
     ("(parallel [(set $arg0 (neg:$mode0 $arg1)) (clobber $arg2)])", 4),
 ])
 def test_height_of_a_pattern_text(text, expected):
-    assert pattern.is_pattern_text(text)
+    assert pattern.pattern_holes(text) is not None
     assert pattern.height(text) == expected
 
 
@@ -390,21 +393,9 @@ def test_substitution_fills_whole_holes_only():
     text = "(set:$mode0 [$arg0 ($arg1:$mode1 $arg1)] (x$arg0 %s))" % tail
     mapping = {"$mode0": "SI", "$mode1": "DI", "$arg0": "(reg 0)", "$arg1": "1"}
     mapping.update(("$arg%d" % i, "r%d" % i) for i in range(2, 11))
-    assert is_pattern_text(text)
+    assert pattern_holes(text) == ["$mode0", "$mode1"] + ["$arg%d" % i for i in range(11)]
     assert (substitute(text, mapping)
             == "(set:SI [(reg 0) ($arg1:DI 1)] (x$arg0 %s))" % tail.replace("$arg", "r"))
-
-
-def test_substitution_arity_mismatch(table):
-    p, assigns = _extract(ARM_ADD, table)
-    short = dict(assigns)
-    short.pop("$arg2")
-    with pytest.raises(ArityMismatch):
-        substitute(p.canonical_text, short)
-    extra = dict(assigns)
-    extra["$arg9"] = "(reg 1)"
-    with pytest.raises(ArityMismatch):
-        substitute(p.canonical_text, extra)
 
 
 def _analyzed_templates(analysis, forms):
