@@ -22,6 +22,9 @@ Parameter file: one record per analyzed expression, ``<pattern-id>
 the pattern once, in any order.  Values are percent-escaped so a record
 stays on one line: ``%``, space, tab and every character that
 ``str.splitlines`` breaks at are written as the ``%XX`` of their UTF-8 bytes.
+
+Each reader takes exactly the lines its writer writes: no blank line, no
+stray ``#`` line, no header spelled another way and no empty field.
 """
 
 import re
@@ -135,18 +138,15 @@ def read_pattern_file(text: str, filename: str | None = None) -> MdAnalysis:
     iterators = []
     store = PatternStore()
     for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("arch:"):
-                arch = body[len("arch:"):].strip()
-            elif body.startswith("total_templates:"):
-                total = body[len("total_templates:"):].strip()
+            if line.startswith("# arch: "):
+                arch = line[len("# arch: "):]
+            elif line.startswith("# total_templates: "):
+                total = line[len("# total_templates: "):]
                 if not total.isdecimal():  # as ids are: no sign, '_' or space
                     raise BadHeader("bad total_templates", filename, lineno)
-            elif body.startswith("iterator:"):
-                iterators.append(unescape_value(body[len("iterator:"):].strip()))
+            elif line.startswith("# iterator: "):
+                iterators.append(unescape_value(line[len("# iterator: "):]))
             else:
                 raise BadHeader("unknown header line %r" % line, filename, lineno)
             continue
@@ -166,10 +166,8 @@ def read_archives(pattern_text: str, param_text: str, pattern_filename: str | No
     An error names the file it is in and the line."""
     analysis = read_pattern_file(pattern_text, pattern_filename)
     for lineno, line in enumerate(param_text.splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
         fields = line.split(" ")
-        parts = [f.partition("=") for f in fields[3:] if f]
+        parts = [f.partition("=") for f in fields[3:]]
         names = [name for name, eq, _ in parts if name and eq]
         if (len(fields) < 3 or not fields[0].isdecimal() or not _KIND_RE.fullmatch(fields[1])
                 or len(names) < len(parts)):
@@ -189,30 +187,18 @@ def read_archives(pattern_text: str, param_text: str, pattern_filename: str | No
 # Recombination and verification
 
 
-class RegeneratedForm:
-    __slots__ = ("form_kind", "form_name", "template_text", "form_text")
-
-    def __init__(self, form_kind: str, form_name: str, template_text: str, form_text: str):
-        self.form_kind = form_kind
-        self.form_name = form_name
-        self.template_text = template_text
-        self.form_text = form_text
+def _form_text(kind: str, name: str, template: str) -> str:
+    return '(%s "%s"\n  %s\n  ""\n  "")' % (kind, escape_string(name), template)
 
 
-def recombine(analysis: MdAnalysis) -> list[RegeneratedForm]:
-    """Substitute each binding into its pattern; order follows the bindings.
-
-    Output forms are skeletons: the name and the template vector are exact,
-    condition and output-template fields are placeholders.  Each binding's
-    pattern is in the store, as `analyze` and `read_archives` make sure.
-    """
-    out = []
-    for b in analysis.bindings:
-        template = substitute(analysis.store.get(b.pattern_id).pattern.canonical_text,
-                              dict(b.assignments))
-        form = '(%s "%s"\n  %s\n  ""\n  "")' % (b.form_kind, escape_string(b.form_name), template)
-        out.append(RegeneratedForm(b.form_kind, b.form_name, template, form))
-    return out
+def recombine(analysis: MdAnalysis) -> list[str]:
+    """The MD form text of each binding, in binding order: skeletons whose
+    kind, name and template vector are exact, with placeholder condition and
+    output-template fields.  Each binding's pattern is in the store, as
+    `analyze` and `read_archives` make sure."""
+    return [_form_text(b.form_kind, b.form_name, substitute(
+        analysis.store.get(b.pattern_id).pattern.canonical_text, dict(b.assignments)))
+        for b in analysis.bindings]
 
 
 def template_tokens(text: str) -> list:
@@ -224,20 +210,20 @@ def template_tokens(text: str) -> list:
 
 
 def verify_roundtrip(analysis: MdAnalysis, forms) -> tuple[int, int, int]:
-    """Split, recombine, and compare each recombined template with
-    `sexpr.serialize` of its form's template vector; `forms` are the forms
-    analyzed, and each binding's origin names its form.
+    """Split, recombine, and compare each recombined form with the skeleton
+    of its source form: its head, its name and `sexpr.serialize` of its
+    template vector.  `forms` are the forms analyzed, and each binding's
+    origin names its form.
 
     Returns (missing, extra, changed) counts; all zero on success.
     """
     from . import sexpr
     from .md_reader import extract_template_vector
 
-    regen = recombine(read_archives(write_pattern_file(analysis), write_param_file(analysis)))
+    got = recombine(read_archives(write_pattern_file(analysis), write_param_file(analysis)))
     by_origin = {f.origin: f for f in forms}
-    orig = [sexpr.serialize(extract_template_vector(by_origin[b.origin]))
-            for b in analysis.bindings]
-    got = [r.template_text for r in regen]
+    orig = [_form_text(f.head, f.name, sexpr.serialize(extract_template_vector(f)))
+            for f in (by_origin[b.origin] for b in analysis.bindings)]
     # equal texts have equal tokens, so only differing texts are lexed
     changed = sum(1 for o, g in zip(orig, got)
                   if o != g and template_tokens(o) != template_tokens(g))

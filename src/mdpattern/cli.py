@@ -255,10 +255,8 @@ def cmd_matrix(args):
 def cmd_recombine(args):
     from . import archive, read_text
 
-    forms = archive.recombine(archive.read_archives(read_text(args.patterns),
-                                                    read_text(args.params),
-                                                    args.patterns, args.params))
-    text = "\n\n".join(f.form_text for f in forms) + "\n"
+    text = "\n\n".join(archive.recombine(archive.read_archives(
+        read_text(args.patterns), read_text(args.params), args.patterns, args.params))) + "\n"
     try:
         data = text.encode("latin-1")  # the inverse of how MD files are read
     except UnicodeEncodeError as exc:

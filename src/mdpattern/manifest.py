@@ -41,6 +41,9 @@ def parse_manifest(text: str, path: str) -> list[ManifestEntry]:
         parts = rest.split()
         if not name or not parts:
             raise ManifestError("%s:%d: expected 'name = path'" % (path, lineno))
+        if any(sep and sep in name for sep in (os.sep, os.altsep)):  # `extract` names files by it
+            raise ManifestError("%s:%d: architecture name %r holds a path separator"
+                                % (path, lineno, name))
         if name in names:
             raise ManifestError("%s:%d: duplicate architecture %r" % (path, lineno, name))
         names.add(name)

@@ -1,7 +1,7 @@
 from urllib.parse import unquote
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA, analyze_file, random_corpus
 from mdpattern import archive, md_reader, pattern, rtl, sexpr, similarity
@@ -25,10 +25,12 @@ def alpha(table, alpha_forms):
     return pattern.analyze(alpha_forms, table, "alpha")
 
 
-def _source_templates(forms):
-    """The parser's rendering of each considered form's template vector."""
-    return [sexpr.serialize(md_reader.extract_template_vector(f)) for f in forms
-            if f.kind is md_reader.FormKind.CONSIDERED]
+def _skeletons(forms):
+    """The skeleton of each considered form, as `recombine` writes it: its
+    head, its name and the parser's rendering of its template vector."""
+    return ['(%s %s\n  %s\n  ""\n  "")' % (f.head, sexpr.serialize(sexpr.StringLit(f.name)),
+                                          sexpr.serialize(md_reader.extract_template_vector(f)))
+            for f in forms if f.kind is md_reader.FormKind.CONSIDERED]
 
 
 def _rows(analysis):
@@ -189,24 +191,44 @@ _FIELD_CHARS = "%=$# \tab" + LINE_BREAKERS
 _FIELDS = st.text(_FIELD_CHARS, max_size=8) | st.text(max_size=8)
 
 
-@given(st.lists(st.tuples(st.sampled_from(sorted(md_reader.DEFAULT_CONSIDERED_HEADS)), _FIELDS,
-                          st.lists(_FIELDS, max_size=2), st.lists(_FIELDS, max_size=3)),
-                max_size=4))
-def test_param_records_round_trip(records):
-    # each record's pattern has exactly the record's holes
+_RECORDS = st.lists(st.tuples(st.sampled_from(sorted(md_reader.DEFAULT_CONSIDERED_HEADS)),
+                              _FIELDS, st.lists(_FIELDS, max_size=2),
+                              st.lists(_FIELDS, max_size=3)), max_size=4)
+
+
+def _analysis(records, arch="x", iterators=(), expr_count=0):
+    """An analysis with one binding per (kind, name, modes, args) record,
+    each bound to a pattern that has exactly the record's holes."""
     store = pattern.PatternStore()
-    written = []
+    bindings = []
     for kind, name, modes, args in records:
         text = "[%s]" % " ".join(["(c:$mode%d)" % i for i in range(len(modes))]
                                  + ["$arg%d" % i for i in range(len(args))])
         pid, _ = store.insert(pattern.RtlPattern(text, height(text)))
-        written.append(pattern.ParamBinding(
+        bindings.append(pattern.ParamBinding(
             pid, [("$mode%d" % i, v) for i, v in enumerate(modes)]
             + [("$arg%d" % i, v) for i, v in enumerate(args)], kind, name))
-    a = pattern.MdAnalysis("x", store, written, [])
+    return pattern.MdAnalysis(arch, store, bindings, list(iterators), expr_count=expr_count)
+
+
+@given(_RECORDS)
+def test_param_records_round_trip(records):
+    a = _analysis(records)
     bindings = read_archives(write_pattern_file(a), write_param_file(a)).bindings
     assert ([(b.form_kind, b.form_name, b.assignments) for b in bindings]
-            == [(b.form_kind, b.form_name, b.assignments) for b in written])
+            == [(b.form_kind, b.form_name, b.assignments) for b in a.bindings])
+
+
+# an arch name is written unescaped, so it holds no line breaker; an iterator
+# text is escaped, so it may be any string
+@given(_RECORDS, st.text(st.characters(exclude_characters=LINE_BREAKERS)),
+       st.lists(st.text() | st.text(_FIELD_CHARS), max_size=3), st.integers(0, 10**9))
+@example([("define_insn", "", [], ["x"])], " x: y ", [" (a: b) "], 0)
+def test_the_readers_invert_the_writers_exactly(records, arch, iterators, total):
+    a = _analysis(records, arch, iterators, total)
+    ptext, mtext = write_pattern_file(a), write_param_file(a)
+    assert write_pattern_file(read_pattern_file(ptext)) == ptext
+    assert write_param_file(read_archives(ptext, mtext)) == mtext
 
 
 def test_read_bad_header():
@@ -219,7 +241,30 @@ def test_read_bad_header():
         with pytest.raises(BadHeader) as ei:
             read_pattern_file("# arch: x\n# total_templates: %s\n" % total, "x.patterns")
         assert str(ei.value) == "x.patterns:2: bad total_templates"
-    assert read_pattern_file("# arch: x\n# total_templates:  07 \n").expr_count == 7
+    # nor is a space around it stripped: the writer writes none
+    for total in (" 07", "07 ", " 07 "):
+        with pytest.raises(BadHeader):
+            read_pattern_file("# arch: x\n# total_templates: %s\n" % total)
+    assert read_pattern_file("# arch: x\n# total_templates: 07\n").expr_count == 7
+
+
+# each header is read as the writer writes it: '# ', the key, ': ', the value
+@pytest.mark.parametrize("header", ["#", "#arch: x", "# arch:x", "#  arch: x", "# arch:",
+                                    "# arch :x", "# Arch: x", "#\tarch: x",
+                                    "# total_templates:3", "# iterator:(x)", "# iterator:"])
+def test_read_rejects_a_header_not_written_as_the_writer_writes_it(header):
+    with pytest.raises(BadHeader) as ei:
+        read_pattern_file("# arch: x\n# total_templates: 1\n%s\n0 1 1 $arg0\n" % header,
+                          "x.patterns")
+    assert str(ei.value) == "x.patterns:3: unknown header line %r" % header
+
+
+@pytest.mark.parametrize("line", ["", " ", "\t", " # arch: x", " 0 1 1 $arg0"])
+def test_read_rejects_a_line_the_pattern_writer_never_writes(line):
+    with pytest.raises(MalformedEntry) as ei:
+        read_pattern_file("# arch: x\n# total_templates: 1\n%s\n0 1 1 $arg0\n" % line,
+                          "x.patterns")
+    assert str(ei.value) == "x.patterns:3: malformed entry: %r" % line
 
 
 def test_read_malformed_entry_reports_line():
@@ -326,18 +371,32 @@ def test_read_rejects_a_record_that_does_not_fit_its_pattern():
             ("$arg0=x $arg0=z", "misses $arg1; repeats $arg0"),
             ("$arg0=x $arg2=y $arg2=z", "misses $arg1; adds $arg2; repeats $arg2"),
             ("", "misses $arg0 $arg1")]:
+        record = " ".join(["0 define_insn a"] + fields.split())
         with pytest.raises(UnfitRecord) as ei:
-            read_archives(FIT_PATTERNS, "1 define_insn b $mode0=SI\n0 define_insn a %s\n"
-                          % fields, None, "x.params")
+            read_archives(FIT_PATTERNS, "1 define_insn b $mode0=SI\n%s\n" % record,
+                          None, "x.params")
         assert str(ei.value) == ("x.params:2: parameter record does not fit pattern 0: %s"
                                  % fault), fields
         assert ei.value.lineno == 2
 
 
 def test_read_takes_the_fields_of_a_record_in_any_order():
-    a = read_archives(FIT_PATTERNS, "0 define_insn a $arg1=y  $arg0=x\n")
+    a = read_archives(FIT_PATTERNS, "0 define_insn a $arg1=y $arg0=x\n")
     assert a.bindings[0].assignments == [("$arg1", "y"), ("$arg0", "x")]
-    assert recombine(a)[0].template_text == "(set x y)"
+    assert recombine(a) == ['(define_insn "a"\n  (set x y)\n  ""\n  "")']
+
+
+# the writer separates fields by one space and writes no other line, so
+# anything else is malformed, not skipped or read past
+@pytest.mark.parametrize("record", ["", " ", "#", "# a comment",
+                                    "0 define_insn a $arg0=x  $arg1=y",
+                                    "0 define_insn a  $arg0=x $arg1=y",
+                                    "0 define_insn a $arg0=x $arg1=y ",
+                                    " 0 define_insn a $arg0=x $arg1=y"])
+def test_read_rejects_a_line_the_param_writer_never_writes(record):
+    with pytest.raises(MalformedEntry) as ei:
+        read_archives(FIT_PATTERNS, "1 define_insn b $mode0=SI\n%s\n" % record, None, "x.params")
+    assert str(ei.value) == "x.params:2: malformed entry: %r" % record
 
 
 @pytest.mark.parametrize("field", ["$arg1", "$arg1y", "=", "=y"])
@@ -353,12 +412,10 @@ def test_read_rejects_a_field_without_a_name_or_value(field):
 
 def test_recombine_fig2_arm(fig2):
     _, arm = fig2
-    forms = recombine(read_archives(write_pattern_file(arm), write_param_file(arm)))
-    assert len(forms) == 1
-    assert forms[0].form_kind == "define_expand"
-    assert forms[0].form_name == "addsi3"
-    source, = _source_templates(md_reader.load_md_file(str(DATA / "fig2" / "arm.md")))
-    assert template_tokens(forms[0].template_text) == template_tokens(source)
+    form, = recombine(read_archives(write_pattern_file(arm), write_param_file(arm)))
+    assert form.startswith('(define_expand "addsi3"\n  [')
+    source, = _skeletons(md_reader.load_md_file(str(DATA / "fig2" / "arm.md")))
+    assert template_tokens(form) == template_tokens(source)
 
 
 def test_recombine_zero_bindings(alpha):
@@ -374,7 +431,7 @@ def test_recombined_forms_extract_to_the_same_archives(table, names):
     a = pattern.analyze(md_reader.parse_md(source), table, "q")
     assert [b.form_name for b in a.bindings] == names
     archives = write_pattern_file(a), write_param_file(a)
-    regen = "\n\n".join(f.form_text for f in recombine(read_archives(*archives)))
+    regen = "\n\n".join(recombine(read_archives(*archives)))
     again = pattern.analyze(md_reader.parse_md(regen), table, "q")
     assert (write_pattern_file(again), write_param_file(again)) == archives
 
@@ -400,18 +457,35 @@ def test_verify_finds_a_fault_in_the_rtl_tree(table, monkeypatch):
     assert (missing, extra) == (0, 0) and changed > 0
 
 
-def test_verify_detects_corruption(alpha, alpha_forms):
-    ptext = write_pattern_file(alpha)
-    mtext = write_param_file(alpha)
-    a = read_archives(ptext, mtext)
-    a.bindings[4].assignments = [
-        (n, v.replace("register_operand", "corrupted_operand"))
-        for n, v in a.bindings[4].assignments
-    ]
-    regen = recombine(a)
-    orig = [template_tokens(t) for t in _source_templates(alpha_forms)]
-    got = [template_tokens(r.template_text) for r in regen]
-    assert sum(1 for o, g in zip(orig, got) if o != g) == 1
+def _edit_record(monkeypatch, index, edit):
+    """Make the parameter archive that `verify_roundtrip` writes pass record
+    `index` through `edit`."""
+    write = archive.write_param_file
+
+    def edited(analysis):
+        records = write(analysis).splitlines(keepends=True)
+        records[index] = edit(records[index])
+        return "".join(records)
+
+    monkeypatch.setattr(archive, "write_param_file", edited)
+
+
+def test_verify_detects_corruption(alpha, alpha_forms, monkeypatch):
+    assert "register_operand" in write_param_file(alpha).splitlines()[4]
+    _edit_record(monkeypatch, 4, lambda r: r.replace("register_operand", "corrupted_operand"))
+    assert verify_roundtrip(alpha, alpha_forms) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r.replace(" define_insn ", " define_expand ", 1),
+    lambda r: r.replace(" define_insn ", " define_insn renamed_", 1),
+    lambda r: r.replace(" define_insn ", " define_insn x%20", 1),
+], ids=["kind", "name", "name-with-a-space"])
+def test_verify_counts_a_form_renamed_or_rekinded_by_the_archives(alpha, alpha_forms,
+                                                                  monkeypatch, edit):
+    assert write_param_file(alpha).split(" ", 2)[1] == "define_insn"
+    _edit_record(monkeypatch, 0, edit)
+    assert verify_roundtrip(alpha, alpha_forms) == (0, 0, 1)
 
 
 def test_verify_compares_string_literals_exactly(table, monkeypatch):
@@ -424,7 +498,7 @@ def test_verify_compares_string_literals_exactly(table, monkeypatch):
 
     def collapse_inner_space(analysis):
         forms = real(analysis)
-        forms[0].template_text = forms[0].template_text.replace('"reg  op"', '"reg op"')
+        forms[0] = forms[0].replace('"reg  op"', '"reg op"')
         return forms
 
     monkeypatch.setattr(archive, "recombine", collapse_inner_space)

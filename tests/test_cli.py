@@ -154,24 +154,16 @@ def test_verify_all(capsys):
     assert out.count("0 missing / 0 extra / 0 changed") == 2
 
 
-def test_verify_failure_exit_code(tmp_path, capsys):
-    # a corrupted param record must surface as a changed expression
-    run(capsys, "extract", "alpha", "--manifest", SYNTH, "--out-dir", str(tmp_path))
-    params = tmp_path / "alpha.params"
-    text = params.read_text().replace("register_operand", "corrupt", 1)
-    params.write_text(text)
-    # recombine still succeeds; verify uses in-memory archives so exercise
-    # the changed path through the library here instead
-    from mdpattern import archive, md_reader, sexpr
+def test_verify_failure_exit_code(capsys, monkeypatch):
+    # verify writes and reads its archives in memory: corrupt the first
+    # operand predicate of alpha's parameter archive there
+    from mdpattern import archive
 
-    forms = md_reader.load_md_file(str(DATA / "synth" / "alpha.md"))
-    regen = archive.recombine(archive.read_archives(
-        (tmp_path / "alpha.patterns").read_text(), text
-    ))
-    orig = [archive.template_tokens(sexpr.serialize(md_reader.extract_template_vector(f)))
-            for f in forms if f.kind is md_reader.FormKind.CONSIDERED]
-    got = [archive.template_tokens(r.template_text) for r in regen]
-    assert sum(1 for o, g in zip(orig, got) if o != g) == 1
+    write = archive.write_param_file
+    monkeypatch.setattr(archive, "write_param_file",
+                        lambda a: write(a).replace("register_operand", "corrupt", 1))
+    code, out, _ = run(capsys, "verify", "alpha", "--manifest", SYNTH)
+    assert (code, out) == (EXIT_VERIFY, "alpha: 0 missing / 0 extra / 1 changed  FAIL\n")
 
 
 def test_recombine_rejects_duplicate_pattern_id(tmp_path, capsys):
@@ -247,6 +239,32 @@ def test_a_record_that_does_not_fit_its_pattern_names_its_line(tmp_path, capsys)
         assert (code, out) == (EXIT_PARSE, "")
         assert err == ("mdpattern: %s:2: parameter record does not fit pattern 0: %s\n"
                        % (params, fault))
+
+
+# the readers take exactly the lines the writers write
+@pytest.mark.parametrize("patterns,params,fault", [
+    ("# arch: x\n\n# total_templates: 1\n0 2 1 (set $arg0 $arg1)\n", None,
+     "P:2: malformed entry: ''"),
+    ("# arch: x\n# total_templates:  1\n0 2 1 (set $arg0 $arg1)\n", None,
+     "P:2: bad total_templates"),
+    ("# arch: x\n#total_templates: 1\n0 2 1 (set $arg0 $arg1)\n", None,
+     "P:2: unknown header line '#total_templates: 1'"),
+    (None, "0 define_insn a $arg0=x $arg1=y\n\n", "Q:2: malformed entry: ''"),
+    (None, "# a comment\n", "Q:1: malformed entry: '# a comment'"),
+    (None, "0 define_insn a $arg0=x  $arg1=y\n",
+     "Q:1: malformed entry: '0 define_insn a $arg0=x  $arg1=y'"),
+    (None, "0 define_insn a $arg0=x $arg1=y \n",
+     "Q:1: malformed entry: '0 define_insn a $arg0=x $arg1=y '"),
+], ids=["blank-pattern-line", "header-space", "header-spelling", "blank-record",
+        "comment-record", "double-space", "trailing-space"])
+def test_a_line_the_writers_never_write_is_a_parse_error(tmp_path, capsys, patterns, params,
+                                                         fault):
+    ppath, mpath = tmp_path / "x.patterns", tmp_path / "x.params"
+    ppath.write_text(patterns or "# arch: x\n# total_templates: 1\n0 2 1 (set $arg0 $arg1)\n")
+    mpath.write_text(params or "0 define_insn a $arg0=x $arg1=y\n")
+    code, out, err = run(capsys, "recombine", "--patterns", str(ppath), "--params", str(mpath))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "mdpattern: %s%s\n" % ({"P": ppath, "Q": mpath}[fault[0]], fault[1:])
 
 
 def test_archive_errors_name_their_file(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,35 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# -- the test run itself ---------------------------------------------------------
+# pyproject.toml turns every warning into an error; a failing property must
+# still be reported as one failure, not end the whole run
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n != n
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_is_reported_as_a_failure(tmp_path):
+    (tmp_path / "test_property.py").write_text(_FAILING_PROPERTY)
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(SRC.parent.parent / "pyproject.toml"),
+                           "--rootdir", str(tmp_path), "test_property.py"],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert re.match(r"1 failed, 1 passed in ", proc.stdout.splitlines()[-1])
 
 
 # -- shared atoms ----------------------------------------------------------------

@@ -50,3 +50,21 @@ def test_a_hash_after_whitespace_starts_a_comment():
 def test_a_path_after_a_hash_is_a_comment():
     with pytest.raises(ManifestError, match="manifest.txt:1: expected 'name = path'"):
         parse_manifest("arm = #a.md\n", MANIFEST)
+
+
+# `extract` writes NAME.patterns and NAME.params under --out-dir, so a name
+# that holds a path separator would write elsewhere, or into a missing folder
+@pytest.mark.parametrize("name", ["../escaped", "a/b"])
+def test_a_name_that_holds_a_path_separator_is_rejected(tmp_path, capsys, name):
+    from mdpattern.cli import main
+
+    (tmp_path / "alpha.md").write_text('(define_insn "x" [(set (reg:SI 0) (reg:SI 1))] "" "")\n')
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("ok = alpha.md\n%s = alpha.md\n" % name)
+    with pytest.raises(ManifestError) as ei:
+        parse_manifest(manifest.read_text(), str(manifest))
+    assert str(ei.value) == "%s:2: architecture name %r holds a path separator" % (manifest, name)
+    out = tmp_path / "out"
+    assert main(["extract", name, "--manifest", str(manifest), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "mdpattern: %s\n" % ei.value
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alpha.md", "manifest.txt"]
