@@ -5,26 +5,20 @@ In memory, archives are a `pattern.MdAnalysis`: `read_pattern_file` and
 Only `verify_roundtrip` and `template_tokens` import `sexpr`, so reading,
 writing, recombining and merging archives loads no lexer.
 
-Pattern file: ``#``-prefixed header lines (arch, total_templates, one line
-per iterator definition, with ``%`` and the line breakers below escaped)
-then one ``<id> <height> <count> <pattern>`` line per unique pattern,
-sorted by (height, id).  A pattern text must be exactly as `extract` writes
-it, as `pattern.pattern_holes` checks: single spaces, no string or brace
-atom, and holes numbered by first occurrence.  Any other entry is malformed
-and not normalized, because `merge` adds up counts by exact text.  So is
-an entry whose height is not `pattern.height` of its text, because
-archives and `merge` order patterns by height.  total_templates, decimal
-digits like an id, is the analysis's `expr_count`: the templates the
-archive sums up, including those whose patterns `merge --min-count` dropped.
+Pattern file: the headers ``# arch: NAME``, ``# total_templates: N`` (the
+analysis's `expr_count`: the templates the archive sums up, including those
+whose patterns `merge --min-count` dropped) and one ``# iterator: FORM``
+per iterator definition; then one ``<id> <height> <count> <pattern>`` line
+per unique pattern, the ids 0, 1, ..., sorted by (height, id).
 
 Parameter file: one record per analyzed expression, ``<pattern-id>
-<form-kind> <form-name> $p=<value> ...``: a symbol kind, then each hole of
-the pattern once, in any order.  Values are percent-escaped so a record
-stays on one line: ``%``, space, tab and every character that
-``str.splitlines`` breaks at are written as the ``%XX`` of their UTF-8 bytes.
+<form-kind> <form-name> $p=<value> ...``, the holes in the pattern's order.
+Kinds, names, values and iterator forms are percent-escaped, so that each
+stays on its line.
 
-Each reader takes exactly the lines its writer writes: no blank line, no
-stray ``#`` line, no header spelled another way and no empty field.
+Each line has one formatter, which the writer calls, and a reader takes a
+line only if that formatter gives it back from what the reader parsed.  So
+a line has one spelling, as `merge`, which adds up counts by exact text, needs.
 """
 
 import re
@@ -64,14 +58,17 @@ class DanglingPatternId(ArchiveError):
 
 
 class UnfitRecord(ArchiveError):
-    """A parameter record that does not name each hole of its pattern once."""
+    """A parameter record that does not name each hole of its pattern once,
+    in the pattern's order."""
 
     def __init__(self, pattern_id, names, holes, filename=None, lineno=None):
         faults = (("misses", [h for h in holes if h not in names]),
                   ("adds", [n for n in dict.fromkeys(names) if n not in holes]),
                   ("repeats", [n for n in dict.fromkeys(names) if names.count(n) > 1]))
-        super().__init__("parameter record does not fit pattern %d: %s" % (pattern_id, "; ".join(
-            "%s %s" % (verb, " ".join(ns)) for verb, ns in faults if ns)), filename, lineno)
+        fault = "; ".join("%s %s" % (verb, " ".join(ns)) for verb, ns in faults if ns)
+        super().__init__("parameter record does not fit pattern %d: %s" % (pattern_id, fault or (
+            "names its holes in the order %s, not %s" % (" ".join(names), " ".join(holes)))),
+            filename, lineno)
 
 
 #: '%', space, tab and the line breakers of str.splitlines, each mapped
@@ -81,7 +78,8 @@ _ESCAPES = {ord(c): "".join("%%%02X" % b for b in c.encode())
 #: An iterator header escapes the same characters but space and tab, so the
 #: form stays readable.
 _HEADER_ESCAPES = {k: v for k, v in _ESCAPES.items() if chr(k) not in " \t"}
-_PERCENT_RUN_RE = re.compile(r"(?:%[0-9A-Fa-f]{2})+")
+_UNESCAPES = {v: chr(k) for k, v in _ESCAPES.items()}
+_UNESCAPE_RE = re.compile("|".join(_UNESCAPES))  # no escape is a prefix of another
 
 
 def escape_value(s: str) -> str:
@@ -91,34 +89,38 @@ def escape_value(s: str) -> str:
     return s.translate(_ESCAPES)
 
 
-def _decode_run(m):
-    return bytes.fromhex(m.group().replace("%", "")).decode("utf-8", "replace")
-
-
 def unescape_value(s: str) -> str:
-    """Decode each run of %XX as UTF-8, as urllib.parse.unquote does: an
-    invalid byte sequence becomes U+FFFD and a malformed '%' stays as it is."""
-    return _PERCENT_RUN_RE.sub(_decode_run, s) if "%" in s else s
+    """The inverse of `escape_value`: each escape it writes becomes its
+    character again, and any other '%' stays as it is."""
+    return _UNESCAPE_RE.sub(lambda m: _UNESCAPES[m[0]], s) if "%" in s else s
 
 
 # ---------------------------------------------------------------------------
 # Writing
 
 
+def _iterator(text: str) -> str:
+    return "# iterator: %s" % text.translate(_HEADER_ESCAPES)
+
+
+def _entry(pattern_id: int, p: RtlPattern, count: int) -> str:
+    return "%d %d %d %s" % (pattern_id, p.height, count, p.canonical_text)
+
+
+def _record(b: ParamBinding) -> str:
+    return " ".join([str(b.pattern_id), escape_value(b.form_kind), escape_value(b.form_name),
+                     *["%s=%s" % (p, escape_value(v)) for p, v in b.assignments]])
+
+
 def write_pattern_file(analysis: MdAnalysis) -> str:
     lines = ["# arch: %s" % analysis.arch_name, "# total_templates: %d" % analysis.expr_count]
-    lines.extend("# iterator: %s" % it.translate(_HEADER_ESCAPES) for it in analysis.iterators)
-    lines.extend("%d %d %d %s" % (e.pattern_id, e.pattern.height, e.count,
-                                  e.pattern.canonical_text) for e in analysis.store.entries())
+    lines.extend(map(_iterator, analysis.iterators))
+    lines.extend(_entry(e.pattern_id, e.pattern, e.count) for e in analysis.store.entries())
     return "\n".join(lines) + "\n"
 
 
 def write_param_file(analysis: MdAnalysis) -> str:
-    lines = []
-    for b in analysis.bindings:
-        fields = [str(b.pattern_id), b.form_kind, escape_value(b.form_name)]
-        fields.extend("%s=%s" % (p, escape_value(v)) for p, v in b.assignments)
-        lines.append(" ".join(fields))
+    lines = list(map(_record, analysis.bindings))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -126,6 +128,7 @@ def write_param_file(analysis: MdAnalysis) -> str:
 # Reading
 
 
+_DIGITS_RE = re.compile(r"\d+")
 _ENTRY_RE = re.compile(r"(\d+) (\d+) (\d+) (.+)")
 #: A form kind: a symbol, so an atom that is no integer and opens no comment.
 _KIND_RE = re.compile(r"(?!-?\d+\Z|/\*)%s+" % ATOM_CHAR)
@@ -135,25 +138,32 @@ def read_pattern_file(text: str, filename: str | None = None) -> MdAnalysis:
     """The analysis the pattern file `text` holds, with no bindings; an error
     names `filename` and the line."""
     arch = total = None
-    iterators = []
-    store = PatternStore()
+    iterators, rows = [], []
     for lineno, line in enumerate(text.splitlines(), 1):
         if line.startswith("#"):
             if line.startswith("# arch: "):
                 arch = line[len("# arch: "):]
             elif line.startswith("# total_templates: "):
                 total = line[len("# total_templates: "):]
-                if not total.isdecimal():  # as ids are: no sign, '_' or space
+                if not _DIGITS_RE.fullmatch(total) or "%d" % int(total) != total:
                     raise BadHeader("bad total_templates", filename, lineno)
             elif line.startswith("# iterator: "):
                 iterators.append(unescape_value(line[len("# iterator: "):]))
+                if _iterator(iterators[-1]) != line:
+                    raise BadHeader("bad iterator", filename, lineno)
             else:
                 raise BadHeader("unknown header line %r" % line, filename, lineno)
             continue
         m = _ENTRY_RE.fullmatch(line)
         holes = m and pattern_holes(m[4])
-        if (holes is None or int(m[2]) != height(m[4]) or not store.insert_entry(
-                int(m[1]), RtlPattern(m[4], int(m[2]), holes), int(m[3]))):
+        p = holes is not None and RtlPattern(m[4], height(m[4]), holes)
+        if not p or _entry(int(m[1]), p, int(m[3])) != line:
+            raise MalformedEntry(line, filename, lineno)
+        rows.append((int(m[1]), lineno, line, p, int(m[3])))
+    # a row is malformed if its id is not its place in id order, or its text is taken
+    store = PatternStore()
+    for place, (pid, lineno, line, p, count) in enumerate(sorted(rows)):
+        if pid != place or not store.insert(p, count)[1]:
             raise MalformedEntry(line, filename, lineno)
     if arch is None or total is None:
         raise BadHeader("missing arch/total_templates header", filename)
@@ -168,18 +178,18 @@ def read_archives(pattern_text: str, param_text: str, pattern_filename: str | No
     for lineno, line in enumerate(param_text.splitlines(), 1):
         fields = line.split(" ")
         parts = [f.partition("=") for f in fields[3:]]
-        names = [name for name, eq, _ in parts if name and eq]
-        if (len(fields) < 3 or not fields[0].isdecimal() or not _KIND_RE.fullmatch(fields[1])
-                or len(names) < len(parts)):
+        b = len(fields) >= 3 and _DIGITS_RE.fullmatch(fields[0]) and ParamBinding(
+            int(fields[0]), [(n, unescape_value(v)) for n, _, v in parts],
+            unescape_value(fields[1]), unescape_value(fields[2]))
+        names = [n for n, _, _ in parts]
+        if not b or _record(b) != line or not _KIND_RE.fullmatch(b.form_kind) or "" in names:
             raise MalformedEntry(line, param_filename, lineno)
-        pid = int(fields[0])
-        entry = analysis.store.get(pid)
+        entry = analysis.store.get(b.pattern_id)
         if entry is None:
-            raise DanglingPatternId(pid, param_filename, lineno)
-        if names != entry.pattern.holes and sorted(names) != sorted(entry.pattern.holes):
-            raise UnfitRecord(pid, names, entry.pattern.holes, param_filename, lineno)
-        analysis.bindings.append(ParamBinding(pid, [(n, unescape_value(v)) for n, _, v in parts],
-                                              fields[1], unescape_value(fields[2])))
+            raise DanglingPatternId(b.pattern_id, param_filename, lineno)
+        if names != entry.pattern.holes:
+            raise UnfitRecord(b.pattern_id, names, entry.pattern.holes, param_filename, lineno)
+        analysis.bindings.append(b)
     return analysis
 
 
@@ -250,8 +260,8 @@ def merge(analyses, min_count: int) -> MdAnalysis:
     kept = sorted((t for t, c in counts.items() if c > min_count),
                   key=lambda t: (patterns[t].height, t))
     store = PatternStore()
-    for i, t in enumerate(kept):
-        store.insert_entry(i, patterns[t], counts[t])
+    for t in kept:
+        store.insert(patterns[t], counts[t])
     return MdAnalysis(",".join(a.arch_name for a in analyses if a.arch_name), store, [],
                       list(dict.fromkeys(it for a in analyses for it in a.iterators)),
                       expr_count=sum(a.expr_count for a in analyses))

@@ -204,38 +204,28 @@ class StoreEntry:
 
 
 class PatternStore:
-    """Unique patterns with occurrence counts, indexed by id and by text."""
+    """Unique patterns with occurrence counts; their ids are 0, 1, ... in turn."""
 
     def __init__(self):
-        self._by_id: dict[int, StoreEntry] = {}
+        self._by_id: list[StoreEntry] = []
         self._by_text: dict[str, StoreEntry] = {}
 
-    def insert(self, p: RtlPattern) -> tuple[int, bool]:
-        """Add one occurrence; returns (pattern id, is_new)."""
+    def insert(self, p: RtlPattern, count: int = 1) -> tuple[int, bool]:
+        """Add `count` occurrences; returns (pattern id, is_new)."""
         entry = self._by_text.get(p.canonical_text)
         if entry is not None:
-            entry.count += 1
+            entry.count += count
             return entry.pattern_id, False
-        pattern_id = len(self._by_id)
-        self.insert_entry(pattern_id, p, 1)
-        return pattern_id, True
-
-    def insert_entry(self, pattern_id, p: RtlPattern, count) -> bool:
-        """Add an entry verbatim (archive reads and merges); False, and the
-        store unchanged, when its id or its text is taken."""
-        if pattern_id in self._by_id or p.canonical_text in self._by_text:
-            return False
-        entry = StoreEntry(pattern_id, p, count)
-        self._by_id[pattern_id] = self._by_text[p.canonical_text] = entry
-        return True
+        entry = self._by_text[p.canonical_text] = StoreEntry(len(self._by_id), p, count)
+        self._by_id.append(entry)
+        return entry.pattern_id, True
 
     def get(self, pattern_id) -> StoreEntry | None:
-        return self._by_id.get(pattern_id)
+        return self._by_id[pattern_id] if 0 <= pattern_id < len(self._by_id) else None
 
     def entries(self):
         """Entries in (height, id) order, the order of archives and matching."""
-        yield from sorted(self._by_id.values(),
-                          key=lambda e: (e.pattern.height, e.pattern_id))
+        yield from sorted(self._by_id, key=lambda e: (e.pattern.height, e.pattern_id))
 
     @property
     def pattern_count(self) -> int:

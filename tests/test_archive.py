@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA, analyze_file, random_corpus
 from mdpattern import archive, md_reader, pattern, rtl, sexpr, similarity
-from mdpattern.archive import (BadHeader, DanglingPatternId, MalformedEntry,
+from mdpattern.archive import (ArchiveError, BadHeader, DanglingPatternId, MalformedEntry,
                                UnfitRecord, escape_value, merge, read_archives,
                                read_pattern_file, recombine,
                                template_tokens, unescape_value,
@@ -66,11 +66,17 @@ def test_escaping_of_each_line_breaker():
         "%25%20%20%09%0A%0B%0C%0D%1C%1D%1E%C2%85%E2%80%A8%E2%80%A9")
 
 
-# unquote is the reference decoder: archives written before it was replaced
-# must read back the same
+def _read_as_field(s):
+    """Whether the readers take `s` as an escaped field: only if escaping
+    what `unescape_value` makes of it gives `s` back."""
+    return escape_value(unescape_value(s)) == s
+
+
+# unquote was the decoder before the readers took only the escapes the
+# writer writes: a field reads as it read then, or it is rejected
 @given(st.text(alphabet="%0123456789abcdefABCDEFz \x85\u00e9\u2028", max_size=40))
 def test_unescape_matches_unquote(s):
-    assert unescape_value(s) == unquote(s)
+    assert unescape_value(s) == unquote(s) or not _read_as_field(s)
 
 
 @pytest.mark.parametrize("s", [
@@ -78,7 +84,26 @@ def test_unescape_matches_unquote(s):
     "%E2%80", "%E2%80a", "%C3%A9%41", "%FF%FE", "%C2\x85", "a%20b%0A%25%2541",
 ])
 def test_unescape_matches_unquote_on_malformed_input(s):
-    assert unescape_value(s) == unquote(s)
+    assert unescape_value(s) == unquote(s) or not _read_as_field(s)
+
+
+# unescape_value inverts exactly the escapes escape_value writes: any other
+# '%' stays as it is, so a field that holds one does not read
+@pytest.mark.parametrize("s,decoded,read", [
+    ("%25%20%09%0A%C2%85%E2%80%A8", "% \t\n\x85\u2028", True),
+    ("%2541", "%41", True),
+    ("%41", "%41", False),
+    ("%e9", "%e9", False),
+    ("%C3%A9", "%C3%A9", False),
+    ("%0a", "%0a", False),
+    ("%", "%", False),
+    ("%%25", "%%", False),
+    ("%C2", "%C2", False),
+    ("a\tb", "a\tb", False),
+])
+def test_unescape_inverts_exactly_the_escapes_the_writer_writes(s, decoded, read):
+    assert unescape_value(s) == decoded
+    assert _read_as_field(s) is read
 
 
 # -- writing -----------------------------------------------------------------
@@ -231,6 +256,41 @@ def test_the_readers_invert_the_writers_exactly(records, arch, iterators, total)
     assert write_param_file(read_archives(ptext, mtext)) == mtext
 
 
+#: What the edits below insert and write over: ASCII and Arabic-Indic
+#: digits, letters, the characters of escapes, fields, headers and pattern
+#: texts, space, tab and a line breaker.
+_EDIT_CHARS = "07\u0663%aA$=#[]() \t\x85"
+
+
+def _one_character_edits(text):
+    """Each text one insert, delete or replace away from `text`."""
+    for i in range(len(text) + 1):
+        yield from (text[:i] + c + text[i:] for c in _EDIT_CHARS)
+        if i < len(text):
+            yield text[:i] + text[i + 1:]
+            yield from (text[:i] + c + text[i + 1:] for c in _EDIT_CHARS if c != text[i])
+
+
+# the archive law: a reader either rejects a text or takes it exactly, so
+# that writing what it read gives the text back, line for line
+@settings(max_examples=12, deadline=None)
+@given(_RECORDS, st.text("x% \t:", max_size=2), st.lists(st.text(_FIELD_CHARS, max_size=3),
+                                                        max_size=2), st.integers(0, 12))
+def test_each_one_character_edit_is_rejected_or_read_back(records, arch, iterators, total):
+    a = _analysis(records, arch, iterators, total)
+    ptext = write_pattern_file(a)
+    for text, read, write in [(ptext, read_pattern_file, write_pattern_file),
+                              (write_param_file(a), lambda t: read_archives(ptext, t),
+                               write_param_file)]:
+        assert write(read(text)) == text
+        for edit in _one_character_edits(text):
+            try:
+                back = write(read(edit))
+            except ArchiveError:
+                continue
+            assert back.splitlines() == edit.splitlines(), edit
+
+
 def test_read_bad_header():
     with pytest.raises(BadHeader):
         read_pattern_file("0 2 1 (set $arg0 $arg1)\n")
@@ -241,11 +301,12 @@ def test_read_bad_header():
         with pytest.raises(BadHeader) as ei:
             read_pattern_file("# arch: x\n# total_templates: %s\n" % total, "x.patterns")
         assert str(ei.value) == "x.patterns:2: bad total_templates"
-    # nor is a space around it stripped: the writer writes none
-    for total in (" 07", "07 ", " 07 "):
+    # and a count has the writer's one spelling: no space around it, no
+    # leading zero and no digit but ASCII
+    for total in (" 07", "07 ", " 07 ", "07", "00", "\u0663"):
         with pytest.raises(BadHeader):
             read_pattern_file("# arch: x\n# total_templates: %s\n" % total)
-    assert read_pattern_file("# arch: x\n# total_templates: 07\n").expr_count == 7
+    assert read_pattern_file("# arch: x\n# total_templates: 70\n").expr_count == 70
 
 
 # each header is read as the writer writes it: '# ', the key, ': ', the value
@@ -312,14 +373,16 @@ def test_read_rejects_malformed_pattern_text(text):
 
 
 # '\u00b2' and '\u2460' are digits to str.isdigit but not decimal, and int()
-# rejects them; '\u0663' is the Arabic-Indic digit three
-@pytest.mark.parametrize("pid,ok", [("\u00b2", False), ("\u2460", False), ("\u0663", True)])
+# rejects them; '\u0663', the Arabic-Indic digit three, is decimal, but the
+# writer writes ASCII digits only
+@pytest.mark.parametrize("pid,ok", [("\u00b2", False), ("\u2460", False), ("\u0663", False),
+                                    ("0", True)])
 def test_ids_are_decimal_in_both_archives(pid, ok):
     ptext = "# arch: x\n# total_templates: 1\n%s 2 1 (set $arg0 $arg1)\n" % pid
     mtext = "%s define_insn a $arg0=x $arg1=y\n" % pid
     if ok:
         a = read_archives(ptext, mtext)
-        assert [e.pattern_id for e in a.store.entries()] == [b.pattern_id for b in a.bindings] == [3]
+        assert [e.pattern_id for e in a.store.entries()] == [b.pattern_id for b in a.bindings] == [0]
         return
     with pytest.raises(MalformedEntry) as ei:
         read_pattern_file(ptext)
@@ -380,10 +443,12 @@ def test_read_rejects_a_record_that_does_not_fit_its_pattern():
         assert ei.value.lineno == 2
 
 
-def test_read_takes_the_fields_of_a_record_in_any_order():
-    a = read_archives(FIT_PATTERNS, "0 define_insn a $arg1=y $arg0=x\n")
-    assert a.bindings[0].assignments == [("$arg1", "y"), ("$arg0", "x")]
-    assert recombine(a) == ['(define_insn "a"\n  (set x y)\n  ""\n  "")']
+# the writer writes the holes in the pattern's order, so a record has one spelling
+def test_read_rejects_the_holes_of_a_record_out_of_order():
+    with pytest.raises(UnfitRecord) as ei:
+        read_archives(FIT_PATTERNS, "0 define_insn a $arg1=y $arg0=x\n", None, "x.params")
+    assert str(ei.value) == ("x.params:1: parameter record does not fit pattern 0: names its "
+                             "holes in the order $arg1 $arg0, not $arg0 $arg1")
 
 
 # the writer separates fields by one space and writes no other line, so

@@ -267,6 +267,52 @@ def test_a_line_the_writers_never_write_is_a_parse_error(tmp_path, capsys, patte
     assert err == "mdpattern: %s%s\n" % ({"P": ppath, "Q": mpath}[fault[0]], fault[1:])
 
 
+# each number, escape and hole order has the one spelling the writers write
+@pytest.mark.parametrize("patterns,params,fault", [
+    ("# arch: x\n# total_templates: \u0663\n0 2 1 (set $arg0 $arg1)\n", None,
+     "P:2: bad total_templates"),
+    ("# arch: x\n# total_templates: 07\n0 2 1 (set $arg0 $arg1)\n", None,
+     "P:2: bad total_templates"),
+    ("# arch: x\n# total_templates: 1\n5 2 1 (set $arg0 $arg1)\n", None,
+     "P:3: malformed entry: '5 2 1 (set $arg0 $arg1)'"),
+    ("# arch: x\n# total_templates: 1\n# iterator: (a%20b)\n0 2 1 (set $arg0 $arg1)\n", None,
+     "P:3: bad iterator"),
+    (None, "0 define_insn a $arg1=y $arg0=x\n", "Q:1: parameter record does not fit pattern 0: "
+     "names its holes in the order $arg1 $arg0, not $arg0 $arg1"),
+] + [(None, "0 define_insn a $arg0=x $arg1=y%20z\n0 define_insn b $arg0=x $arg1=" + value + "\n",
+      "Q:2: malformed entry: %r" % ("0 define_insn b $arg0=x $arg1=" + value))
+     for value in ("%e9", "%0a", "%41", "%", "a\tb")],
+    ids=["total-digit", "total-zero", "lone-id", "iterator-escape", "hole-order",
+         "value-e9", "value-0a", "value-41", "value-percent", "value-tab"])
+def test_a_spelling_the_writers_never_write_is_a_parse_error(tmp_path, capsys, patterns, params,
+                                                             fault):
+    ppath, mpath = tmp_path / "x.patterns", tmp_path / "x.params"
+    ppath.write_text(patterns or "# arch: x\n# total_templates: 2\n0 2 2 (set $arg0 $arg1)\n",
+                     encoding="utf-8")
+    mpath.write_text(params or "0 define_insn a $arg0=x $arg1=y\n", encoding="utf-8")
+    code, out, err = run(capsys, "recombine", "--patterns", str(ppath), "--params", str(mpath))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "mdpattern: %s%s\n" % ({"P": ppath, "Q": mpath}[fault[0]], fault[1:])
+
+
+def test_a_form_kind_that_holds_a_line_breaker_round_trips(tmp_path, capsys):
+    # argv from a shell cannot carry '\x85', so main runs in process; the MD
+    # file's byte 0x85 reads as '\x85'
+    (tmp_path / "k.md").write_bytes(b'(define\x85x "a" [(set (reg:SI 0) (reg:SI 1))] "" "")\n')
+    (tmp_path / "m.txt").write_text("k = k.md\n")
+    common = ["--manifest", str(tmp_path / "m.txt"), "--heads", "define\x85x"]
+    code, _, _ = run(capsys, "extract", "k", "--out-dir", str(tmp_path), *common)
+    assert code == EXIT_OK
+    assert (tmp_path / "k.params").read_text("utf-8").startswith("0 define%C2%85x a ")
+    code, _, _ = run(capsys, "recombine", "--patterns", str(tmp_path / "k.patterns"),
+                     "--params", str(tmp_path / "k.params"), "--out", str(tmp_path / "k.out"))
+    assert code == EXIT_OK
+    assert (tmp_path / "k.out").read_bytes() == (b'(define\x85x "a"\n  [(set (reg:SI 0) '
+                                                 b'(reg:SI 1))]\n  ""\n  "")\n')
+    code, out, _ = run(capsys, "verify", *common)
+    assert (code, out) == (EXIT_OK, "k: 0 missing / 0 extra / 0 changed\n")
+
+
 def test_archive_errors_name_their_file(tmp_path, capsys):
     run(capsys, "extract", "alpha", "--manifest", SYNTH, "--out-dir", str(tmp_path))
     good, params = tmp_path / "alpha.patterns", tmp_path / "alpha.params"

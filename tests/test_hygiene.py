@@ -75,6 +75,18 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+ROOT = SRC.parent.parent
+
+
+# pyproject.toml allows Python 3.10, so no file of the package, its tests or
+# its benchmark may use a later syntax, such as `except*`
+@pytest.mark.parametrize("path", sorted(p for d in ("src", "tests", "mdbench")
+                                        for p in (ROOT / d).rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_each_python_file_parses_as_python_3_10(path):
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 # -- the test run itself ---------------------------------------------------------
 # pyproject.toml turns every warning into an error; a failing property must
 # still be reported as one failure, not end the whole run

@@ -216,8 +216,8 @@ def _reference_common_patterns(a, b):
 def _store_analysis(patterns, members):
     """An analysis of (text, height) patterns, ids in list order."""
     store = PatternStore()
-    for pid, (text, height) in enumerate(patterns):
-        store.insert_entry(pid, RtlPattern(text, height), 1)
+    for text, height in patterns:
+        store.insert(RtlPattern(text, height))
     return MdAnalysis("m", store, [], [], code_iterators=members)
 
 
