@@ -2,7 +2,7 @@
 
 In memory, archives are a `pattern.MdAnalysis`: `read_pattern_file` and
 `merge` give one with no bindings, `read_archives` one with its bindings.
-Only `verify_roundtrip` and `template_tokens` import `sexpr`, so reading,
+Only `verify_roundtrip` imports `sexpr`, for `serialize`, so reading,
 writing, recombining and merging archives loads no lexer.
 
 Pattern file: the headers ``# arch: NAME``, ``# total_templates: N`` (the
@@ -16,11 +16,13 @@ Parameter file: one record per analyzed expression, ``<pattern-id>
 Kinds, names, values and iterator forms are percent-escaped, so that each
 stays on its line.
 
-Each line has one formatter, which the writer calls, and a reader takes a
-line only if that formatter gives it back from what the reader parsed.  So
-a line has one spelling, as `merge`, which adds up counts by exact text, needs.
+Each line has one formatter, which the writer calls.  A reader takes a line
+only if that formatter gives it back, ended by a newline, where the writer
+puts it.  So writing what a reader read gives its text back, and a line has
+one spelling, as `merge`, which adds up counts by exact text, needs.
 """
 
+import itertools
 import re
 
 from . import ATOM_CHAR, Error, escape_string
@@ -112,11 +114,14 @@ def _record(b: ParamBinding) -> str:
                      *["%s=%s" % (p, escape_value(v)) for p, v in b.assignments]])
 
 
+def _pattern_lines(analysis: MdAnalysis) -> list[str]:
+    return ["# arch: %s" % analysis.arch_name, "# total_templates: %d" % analysis.expr_count,
+            *map(_iterator, analysis.iterators),
+            *(_entry(e.pattern_id, e.pattern, e.count) for e in analysis.store.entries())]
+
+
 def write_pattern_file(analysis: MdAnalysis) -> str:
-    lines = ["# arch: %s" % analysis.arch_name, "# total_templates: %d" % analysis.expr_count]
-    lines.extend(map(_iterator, analysis.iterators))
-    lines.extend(_entry(e.pattern_id, e.pattern, e.count) for e in analysis.store.entries())
-    return "\n".join(lines) + "\n"
+    return "\n".join(_pattern_lines(analysis)) + "\n"
 
 
 def write_param_file(analysis: MdAnalysis) -> str:
@@ -134,6 +139,23 @@ _ENTRY_RE = re.compile(r"(\d+) (\d+) (\d+) (.+)")
 _KIND_RE = re.compile(r"(?!-?\d+\Z|/\*)%s+" % ATOM_CHAR)
 
 
+def _int(digits: str) -> int:
+    """int(digits), or -1, which no writer writes, past Python's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        return -1
+
+
+def _check_layout(text: str, written: list[str], filename: str | None) -> None:
+    """Reject the first line of `text` that is not the writer's line at its
+    place, ended by '\\n', where `written` are the lines the writer writes."""
+    if text != "".join(line + "\n" for line in written):
+        lineno = next(i for i, (raw, line) in enumerate(itertools.zip_longest(
+            text.splitlines(True), written, fillvalue=""), 1) if raw != line + "\n")
+        raise ArchiveError("not the line the writer writes here", filename, lineno)
+
+
 def read_pattern_file(text: str, filename: str | None = None) -> MdAnalysis:
     """The analysis the pattern file `text` holds, with no bindings; an error
     names `filename` and the line."""
@@ -145,7 +167,7 @@ def read_pattern_file(text: str, filename: str | None = None) -> MdAnalysis:
                 arch = line[len("# arch: "):]
             elif line.startswith("# total_templates: "):
                 total = line[len("# total_templates: "):]
-                if not _DIGITS_RE.fullmatch(total) or "%d" % int(total) != total:
+                if not _DIGITS_RE.fullmatch(total) or "%d" % _int(total) != total:
                     raise BadHeader("bad total_templates", filename, lineno)
             elif line.startswith("# iterator: "):
                 iterators.append(unescape_value(line[len("# iterator: "):]))
@@ -157,7 +179,7 @@ def read_pattern_file(text: str, filename: str | None = None) -> MdAnalysis:
         m = _ENTRY_RE.fullmatch(line)
         holes = m and pattern_holes(m[4])
         p = holes is not None and RtlPattern(m[4], height(m[4]), holes)
-        if not p or _entry(int(m[1]), p, int(m[3])) != line:
+        if not p or _entry(_int(m[1]), p, _int(m[3])) != line:
             raise MalformedEntry(line, filename, lineno)
         rows.append((int(m[1]), lineno, line, p, int(m[3])))
     # a row is malformed if its id is not its place in id order, or its text is taken
@@ -167,7 +189,9 @@ def read_pattern_file(text: str, filename: str | None = None) -> MdAnalysis:
             raise MalformedEntry(line, filename, lineno)
     if arch is None or total is None:
         raise BadHeader("missing arch/total_templates header", filename)
-    return MdAnalysis(arch, store, [], iterators, expr_count=int(total))
+    analysis = MdAnalysis(arch, store, [], iterators, expr_count=int(total))
+    _check_layout(text, _pattern_lines(analysis), filename)
+    return analysis
 
 
 def read_archives(pattern_text: str, param_text: str, pattern_filename: str | None = None,
@@ -175,11 +199,12 @@ def read_archives(pattern_text: str, param_text: str, pattern_filename: str | No
     """Inverse of the write pair: the analysis with its store and bindings.
     An error names the file it is in and the line."""
     analysis = read_pattern_file(pattern_text, pattern_filename)
-    for lineno, line in enumerate(param_text.splitlines(), 1):
+    lines = param_text.splitlines()
+    for lineno, line in enumerate(lines, 1):
         fields = line.split(" ")
         parts = [f.partition("=") for f in fields[3:]]
         b = len(fields) >= 3 and _DIGITS_RE.fullmatch(fields[0]) and ParamBinding(
-            int(fields[0]), [(n, unescape_value(v)) for n, _, v in parts],
+            _int(fields[0]), [(n, unescape_value(v)) for n, _, v in parts],
             unescape_value(fields[1]), unescape_value(fields[2]))
         names = [n for n, _, _ in parts]
         if not b or _record(b) != line or not _KIND_RE.fullmatch(b.form_kind) or "" in names:
@@ -190,6 +215,7 @@ def read_archives(pattern_text: str, param_text: str, pattern_filename: str | No
         if names != entry.pattern.holes:
             raise UnfitRecord(b.pattern_id, names, entry.pattern.holes, param_filename, lineno)
         analysis.bindings.append(b)
+    _check_layout(param_text, lines, param_filename)  # each record's line end
     return analysis
 
 
@@ -211,14 +237,6 @@ def recombine(analysis: MdAnalysis) -> list[str]:
         for b in analysis.bindings]
 
 
-def template_tokens(text: str) -> list:
-    """The (kind, value) of each token: layout and comments do not count,
-    and every string literal is compared by its decoded characters."""
-    from . import sexpr
-
-    return [tok[:2] for tok in sexpr.tokenize(text)]
-
-
 def verify_roundtrip(analysis: MdAnalysis, forms) -> tuple[int, int, int]:
     """Split, recombine, and compare each recombined form with the skeleton
     of its source form: its head, its name and `sexpr.serialize` of its
@@ -234,9 +252,7 @@ def verify_roundtrip(analysis: MdAnalysis, forms) -> tuple[int, int, int]:
     by_origin = {f.origin: f for f in forms}
     orig = [_form_text(f.head, f.name, sexpr.serialize(extract_template_vector(f)))
             for f in (by_origin[b.origin] for b in analysis.bindings)]
-    # equal texts have equal tokens, so only differing texts are lexed
-    changed = sum(1 for o, g in zip(orig, got)
-                  if o != g and template_tokens(o) != template_tokens(g))
+    changed = sum(1 for o, g in zip(orig, got) if o != g)
     missing = max(0, len(orig) - len(got))
     extra = max(0, len(got) - len(orig))
     return missing, extra, changed

@@ -242,8 +242,7 @@ class PatternStore:
 class MdAnalysis:
     def __init__(self, arch_name: str, store: PatternStore,
                  bindings: list[ParamBinding], iterators: list[str],
-                 diagnostics: dict | None = None, code_iterators: dict | None = None,
-                 expr_count: int | None = None):
+                 diagnostics: dict | None = None, expr_count: int | None = None):
         self.arch_name = arch_name
         self.store = store
         self.bindings = bindings
@@ -252,48 +251,19 @@ class MdAnalysis:
         self.expr_count = len(bindings) if expr_count is None else expr_count
         self.iterators = iterators  # verbatim iterator definition forms
         self.diagnostics = {} if diagnostics is None else diagnostics
-        # name -> member codes
-        self.code_iterators = {} if code_iterators is None else code_iterators
-        # pattern id -> expanded texts; similarity adds a pattern the first
-        # time it expands it
-        self.expansions = {}
 
 
 def register_iterators(forms):
-    """Iterator names, verbatim iterator forms and code-iterator members.
-
-    The names are those usable in code position: code iterators plus
-    '<attr>' refs.  The members map each code iterator defined as
-    ``(define_code_iterator name [code (code "cond") ...])`` to its codes.
-    """
+    """The names usable in code position, code iterators and '<attr>' refs,
+    and the verbatim iterator forms."""
     from . import sexpr
     from .md_reader import FormKind
 
-    names = set()
-    verbatim = []
-    members = {}
-    for form in forms:
-        if form.kind is not FormKind.ITERATOR:
-            continue
-        verbatim.append(sexpr.serialize(form.body))
-        if form.head == "define_code_iterator" and form.name:
-            names.add(form.name)
-        elif form.head == "define_code_attr" and form.name:
-            names.add("<%s>" % form.name)
-        items = form.body.items
-        if (form.head == "define_code_iterator" and len(items) >= 3
-                and isinstance(items[1], sexpr.Symbol)
-                and isinstance(items[2], sexpr.SVector)):
-            codes = []
-            for item in items[2].items:
-                if isinstance(item, sexpr.Symbol):
-                    codes.append(item.text)
-                elif (isinstance(item, sexpr.SList) and item.items
-                      and isinstance(item.items[0], sexpr.Symbol)):
-                    codes.append(item.items[0].text)  # (code "condition") member
-            if codes:
-                members[items[1].text] = tuple(codes)
-    return frozenset(names), verbatim, members
+    iterators = [f for f in forms if f.kind is FormKind.ITERATOR]
+    names = frozenset(f.name if f.head == "define_code_iterator" else "<%s>" % f.name
+                      for f in iterators
+                      if f.head in ("define_code_iterator", "define_code_attr") and f.name)
+    return names, [sexpr.serialize(f.body) for f in iterators]
 
 
 def analyze(forms, table: "rtl.RtxCodeTable", arch_name="",
@@ -301,7 +271,7 @@ def analyze(forms, table: "rtl.RtxCodeTable", arch_name="",
     """Run the pattern pipeline over one architecture's parsed forms."""
     from . import md_reader, rtl  # here, so that reading archives loads neither
 
-    iterators, verbatim, members = register_iterators(forms)
+    iterators, verbatim = register_iterators(forms)
     retained = table.retained(include_bin_arith) | iterators
     store = PatternStore()
     bindings = []
@@ -319,13 +289,6 @@ def analyze(forms, table: "rtl.RtxCodeTable", arch_name="",
             continue
         pid, _ = store.insert(pattern)
         bindings.append(ParamBinding(pid, assignments, form.head, form.name, form.origin))
-    diagnostics = {"unknown_codes": dict(unknown), "skipped": skipped}
-    return MdAnalysis(
-        arch_name=arch_name,
-        store=store,
-        bindings=bindings,
-        iterators=verbatim,
-        diagnostics=diagnostics,
-        code_iterators=members,
-    )
+    return MdAnalysis(arch_name, store, bindings, verbatim,
+                      {"unknown_codes": dict(unknown), "skipped": skipped})
 

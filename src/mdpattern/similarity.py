@@ -5,10 +5,11 @@ patterns, and directed source-to-target coverage.
 
 With code iterators expanded, a pair expands only the patterns whose
 skeleton, the text with every list head erased, also occurs on the other
-side; no other pattern can match.  Each pattern is expanded at most once
-per analysis, across both directions and all pairs.
+side; no other pattern can match.  Each pattern text is expanded at most
+once per set of members, across both directions and all pairs.
 """
 
+import functools
 import itertools
 import re
 
@@ -52,15 +53,36 @@ def coverage_pct(covered: int, e_target: int) -> float:
 # -- analysis-level operations ----------------------------------------------
 
 
-def _iterator_members(analysis: MdAnalysis) -> dict:
-    """Code-iterator name -> member codes, as pattern.analyze parsed them."""
-    return analysis.code_iterators
+def _iterator_members(analysis: MdAnalysis) -> tuple:
+    """(name, member codes) of each code iterator of the analysis's forms."""
+    return _members(tuple(analysis.iterators))
+
+
+@functools.cache
+def _members(forms: tuple) -> tuple:
+    """(name, member codes) of each ``(define_code_iterator name [code (code
+    "cond") ...])`` of `forms`, in definition order; a later definition of a
+    name replaces its members, and one with no member is ignored."""
+    from . import sexpr
+
+    members = {}
+    for _, form in sexpr.parse_text("\n".join(forms)):
+        items = form.items if isinstance(form, sexpr.SList) else []
+        if (len(items) >= 3 and items[0] == sexpr.Symbol("define_code_iterator")
+                and isinstance(items[1], sexpr.Symbol) and isinstance(items[2], sexpr.SVector)):
+            heads = [m.items[0] if isinstance(m, sexpr.SList) and m.items else m
+                     for m in items[2].items]  # the code of a (code "cond") member
+            codes = tuple(m.text for m in heads if isinstance(m, sexpr.Symbol))
+            if codes:
+                members[items[1].text] = codes
+    return tuple(members.items())
 
 
 _EXPANSION_CAP = 64
 
 
-def _expand_text(text: str, members: dict) -> tuple:
+@functools.cache
+def _expand_text(text: str, members: tuple) -> tuple:
     """All iterator-member substitutions of one canonical text (capped).
 
     Members are substituted in definition order, and each step keeps the
@@ -70,7 +92,7 @@ def _expand_text(text: str, members: dict) -> tuple:
     # needles hold no whitespace, so a needle is in `joined` iff it is in
     # one of the variants
     joined = text
-    for name, codes in members.items():
+    for name, codes in members:
         opener = "(" + name
         if opener not in joined:
             continue
@@ -112,21 +134,10 @@ def _skeletons(analysis: MdAnalysis) -> list:
 
 
 def _expanded(analysis: MdAnalysis, skeletons: list, shared: set) -> list:
-    """(pattern id, variants) of each entry whose skeleton is in `shared`.
-
-    Each pattern is expanded on first use and kept on the analysis, so it
-    is expanded at most once, whatever the number of pairs.
-    """
-    memo = analysis.expansions
+    """(pattern id, variants) of each entry whose skeleton is in `shared`."""
     members = _iterator_members(analysis)
-    out = []
-    for e, skeleton in skeletons:
-        if skeleton in shared:
-            texts = memo.get(e.pattern_id)
-            if texts is None:
-                texts = memo[e.pattern_id] = _expand_text(e.pattern.canonical_text, members)
-            out.append((e.pattern_id, texts))
-    return out
+    return [(e.pattern_id, _expand_text(e.pattern.canonical_text, members))
+            for e, skeleton in skeletons if skeleton in shared]
 
 
 def common_patterns(a: MdAnalysis, b: MdAnalysis, expand_iterators=False):

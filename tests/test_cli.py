@@ -255,8 +255,18 @@ def test_a_record_that_does_not_fit_its_pattern_names_its_line(tmp_path, capsys)
      "Q:1: malformed entry: '0 define_insn a $arg0=x  $arg1=y'"),
     (None, "0 define_insn a $arg0=x $arg1=y \n",
      "Q:1: malformed entry: '0 define_insn a $arg0=x $arg1=y '"),
+    ("# total_templates: 2\n0 1 1 $arg0\n# arch: x\n# arch: y\n# total_templates: 5\n", None,
+     "P:1: not the line the writer writes here"),
+    ("# arch: x\n# total_templates: 1\n0 2 1 (set $arg0 $arg1)\n# total_templates: 1\n", None,
+     "P:4: not the line the writer writes here"),
+    ("# arch: x\n# total_templates: 2\n0 2 1 (set $arg0 $arg1)\n1 1 1 (c:$mode0)\n", None,
+     "P:3: not the line the writer writes here"),
+    ("# arch: x\n# total_templates: 1\n0 2 1 (set $arg0 $arg1)", None,
+     "P:3: not the line the writer writes here"),
+    (None, "0 define_insn a $arg0=x $arg1=y", "Q:1: not the line the writer writes here"),
 ], ids=["blank-pattern-line", "header-space", "header-spelling", "blank-record",
-        "comment-record", "double-space", "trailing-space"])
+        "comment-record", "double-space", "trailing-space", "headers-moved", "header-repeated",
+        "entries-out-of-order", "pattern-file-unended", "record-unended"])
 def test_a_line_the_writers_never_write_is_a_parse_error(tmp_path, capsys, patterns, params,
                                                          fault):
     ppath, mpath = tmp_path / "x.patterns", tmp_path / "x.params"
@@ -265,6 +275,10 @@ def test_a_line_the_writers_never_write_is_a_parse_error(tmp_path, capsys, patte
     code, out, err = run(capsys, "recombine", "--patterns", str(ppath), "--params", str(mpath))
     assert (code, out) == (EXIT_PARSE, "")
     assert err == "mdpattern: %s%s\n" % ({"P": ppath, "Q": mpath}[fault[0]], fault[1:])
+
+
+#: A number of 5,000 digits, past what int() converts by default.
+_LONG = "1" * 5000
 
 
 # each number, escape and hole order has the one spelling the writers write
@@ -281,9 +295,18 @@ def test_a_line_the_writers_never_write_is_a_parse_error(tmp_path, capsys, patte
      "names its holes in the order $arg1 $arg0, not $arg0 $arg1"),
 ] + [(None, "0 define_insn a $arg0=x $arg1=y%20z\n0 define_insn b $arg0=x $arg1=" + value + "\n",
       "Q:2: malformed entry: %r" % ("0 define_insn b $arg0=x $arg1=" + value))
-     for value in ("%e9", "%0a", "%41", "%", "a\tb")],
-    ids=["total-digit", "total-zero", "lone-id", "iterator-escape", "hole-order",
-         "value-e9", "value-0a", "value-41", "value-percent", "value-tab"])
+     for value in ("%e9", "%0a", "%41", "%", "a\tb")] + [
+    # past Python's limit of 4,300 digits for int(), as a typed error
+    ("# arch: x\n# total_templates: %s\n0 2 2 (set $arg0 $arg1)\n" % _LONG, None,
+     "P:2: bad total_templates"),
+] + [("# arch: x\n# total_templates: 2\n%s\n" % line, None, "P:3: malformed entry: %r" % line)
+     for line in ("%s 2 2 (set $arg0 $arg1)" % _LONG, "0 %s 2 (set $arg0 $arg1)" % _LONG,
+                  "0 2 %s (set $arg0 $arg1)" % _LONG)] + [
+    (None, "%s define_insn a $arg0=x $arg1=y\n" % _LONG,
+     "Q:1: malformed entry: '%s define_insn a $arg0=x $arg1=y'" % _LONG),
+], ids=["total-digit", "total-zero", "lone-id", "iterator-escape", "hole-order",
+        "value-e9", "value-0a", "value-41", "value-percent", "value-tab", "total-long",
+        "id-long", "height-long", "count-long", "record-id-long"])
 def test_a_spelling_the_writers_never_write_is_a_parse_error(tmp_path, capsys, patterns, params,
                                                              fault):
     ppath, mpath = tmp_path / "x.patterns", tmp_path / "x.params"

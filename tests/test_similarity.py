@@ -1,14 +1,22 @@
+import itertools
+import os
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA, analyze_file, random_corpus
-from mdpattern import cli, md_reader, pattern, similarity
+from mdpattern import archive, cli, md_reader, pattern, similarity
+from mdpattern.manifest import load_manifest
 from mdpattern.pattern import MdAnalysis, PatternStore, RtlPattern
 from mdpattern.similarity import (BothEmpty, EmptyTarget, common_patterns,
                                   coverage_pct, expression_similarity,
                                   expression_similarity_pct,
                                   pattern_similarity_pct,
                                   similarity_matrix, target_coverage)
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "mdbench"))
+import corpus as bench_corpus  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -197,14 +205,14 @@ def _reference_expand(text, members, cap=64):
     return frozenset(variants)
 
 
-def _reference_common_patterns(a, b):
+def _reference_common_patterns(a, members_a, b, members_b):
     """Greedy first fit by scanning all pairs: each pattern of a takes the
     first unmatched pattern of b whose expansions share a text with its own."""
-    expanded_b = [(e.pattern_id, _reference_expand(e.pattern.canonical_text, b.code_iterators))
+    expanded_b = [(e.pattern_id, _reference_expand(e.pattern.canonical_text, members_b))
                   for e in b.store.entries()]
     matched, out = set(), []
     for ea in a.store.entries():
-        ex_a = _reference_expand(ea.pattern.canonical_text, a.code_iterators)
+        ex_a = _reference_expand(ea.pattern.canonical_text, members_a)
         for id_b, ex_b in expanded_b:
             if id_b not in matched and ex_a & ex_b:
                 out.append((ea.pattern_id, id_b))
@@ -214,11 +222,13 @@ def _reference_common_patterns(a, b):
 
 
 def _store_analysis(patterns, members):
-    """An analysis of (text, height) patterns, ids in list order."""
+    """An analysis of (text, height) patterns, ids in list order, whose
+    iterator forms define the code iterators of `members`, in its order."""
     store = PatternStore()
     for text, height in patterns:
         store.insert(RtlPattern(text, height))
-    return MdAnalysis("m", store, [], [], code_iterators=members)
+    return MdAnalysis("m", store, [], ["(define_code_iterator %s [%s])" % (name, " ".join(codes))
+                                       for name, codes in members.items()])
 
 
 # Names and codes collide on purpose: an iterator may list another iterator
@@ -262,8 +272,8 @@ _HITS_BOTH = ([("(y $arg0)", 1), ("(x $arg0)", 1)], {})
 @example(_NESTED_COLON, _HITS_BOTH)
 def test_expanded_matching_equals_reference_scan(side_a, side_b):
     a, b = _store_analysis(*side_a), _store_analysis(*side_b)
-    assert common_patterns(a, b, True) == _reference_common_patterns(a, b)
-    assert common_patterns(b, a, True) == _reference_common_patterns(b, a)
+    assert common_patterns(a, b, True) == _reference_common_patterns(a, side_a[1], b, side_b[1])
+    assert common_patterns(b, a, True) == _reference_common_patterns(b, side_b[1], a, side_a[1])
 
 
 @settings(max_examples=300, deadline=None)
@@ -288,7 +298,7 @@ def test_greedy_matching_depends_on_order():
 
 def test_expansion_past_the_cap_is_dropped():
     a, b = _store_analysis(*_CAPPED), _store_analysis(*_PAST_CAP)
-    assert len(similarity._expand_text(_CAPPED[0][0][0], a.code_iterators)) == 64
+    assert len(similarity._expand_text(_CAPPED[0][0][0], similarity._iterator_members(a))) == 64
     # members are substituted in order, so the all-"x" variant is among the
     # first 64 and the all-"plus" one is cut
     assert common_patterns(a, b, True) == [(0, 1)]
@@ -302,21 +312,27 @@ ITER = DATA / "iter"
 
 @pytest.fixture
 def expand_calls(monkeypatch):
-    """(text, id of the members) of each _expand_text call, in call order,
-    and the set of the same keys of both patterns of each expanded match."""
+    """(text, members) of each real expansion, a miss of _expand_text's
+    cache, in call order, and the set of the same keys of both patterns of
+    each expanded match."""
     calls, matched = [], set()
     expand, common = similarity._expand_text, similarity.common_patterns
+    expand.cache_clear()
 
     def counted(text, members):
-        calls.append((text, id(members)))
-        return expand(text, members)
+        misses = expand.cache_info().misses
+        variants = expand(text, members)
+        if expand.cache_info().misses > misses:
+            calls.append((text, members))
+        return variants
 
     def matching(a, b, expand_iterators=False):
         pairs = common(a, b, expand_iterators)
         if expand_iterators:
+            members_a, members_b = similarity._iterator_members(a), similarity._iterator_members(b)
             for ia, ib in pairs:
-                matched.add((a.store.get(ia).pattern.canonical_text, id(a.code_iterators)))
-                matched.add((b.store.get(ib).pattern.canonical_text, id(b.code_iterators)))
+                matched.add((a.store.get(ia).pattern.canonical_text, members_a))
+                matched.add((b.store.get(ib).pattern.canonical_text, members_b))
         return pairs
 
     monkeypatch.setattr(similarity, "_expand_text", counted)
@@ -353,3 +369,68 @@ def test_matrix_expands_each_pattern_once(table, expand_calls, capsys, tmp_path,
     assert cli.main(["matrix", "--metric", metric, "--manifest", str(manifest),
                      "--expand-iterators"]) == 0
     _assert_expanded_once(expand_calls, sum(_pattern_counts(table, paths)))
+
+
+# -- an analysis holds exactly what its archives hold --------------------------
+
+
+def test_members_are_read_from_the_iterator_forms():
+    a = MdAnalysis("m", PatternStore(), [], [
+        "(define_code_iterator x [a b])", "(define_mode_iterator M [SI DI])",
+        '(define_code_iterator y [c (d "TARGET_D") ("e")])', "(define_code_iterator x [f])",
+        "(define_code_iterator z [])", "(define_code_attr x [(a \"p\")])"])
+    # a later definition of a name replaces the members of an earlier one,
+    # which keeps its place in definition order
+    assert similarity._iterator_members(a) == (("x", ("f",)), ("y", ("c", "d")))
+
+
+def _corpus_manifest(name, tmp_path_factory):
+    """The manifest of a bundled corpus, or of a workload's seed-1 corpus
+    written by the benchmark's generator."""
+    if (DATA / name).is_dir():
+        return DATA / name / "manifest.txt"
+    root = tmp_path_factory.mktemp(name)
+    bench_corpus.generate(name, 1).write(str(root))
+    return root / "manifest.txt"
+
+
+@pytest.fixture(scope="module", params=["iter", "synth", "iterators", "survey"])
+def analyses_and_archives(request, table, tmp_path_factory):
+    """The analyses of a corpus, and the same analyses read back from the
+    archives written for them."""
+    analyses = [pattern.analyze(md_reader.load_md_file(e.path), table, e.name)
+                for e in load_manifest(str(_corpus_manifest(request.param, tmp_path_factory)))]
+    return analyses, [archive.read_archives(archive.write_pattern_file(a),
+                                            archive.write_param_file(a)) for a in analyses]
+
+
+def _reports(analyses, expand):
+    """What `compare` prints for each ordered pair, and each `matrix` table."""
+    pairs = [(expression_similarity(a, b, expand), target_coverage(a, b, expand))
+             for a, b in itertools.permutations(analyses, 2)]
+    return pairs, [similarity_matrix(analyses, metric, expand)
+                   for metric in ("pattern", "expr", "coverage")]
+
+
+@pytest.mark.parametrize("expand", [False, True], ids=["plain", "expanded"])
+def test_archives_compare_as_their_analyses_do(analyses_and_archives, expand):
+    analyses, archives = analyses_and_archives
+    assert _reports(archives, expand) == _reports(analyses, expand)
+
+
+def test_read_back_archives_find_every_expanded_match(table):
+    analyses = [analyze_file(DATA / "iter" / ("%s.md" % n), n, table) for n in ("iota", "kappa")]
+    archives = [archive.read_archives(archive.write_pattern_file(a), archive.write_param_file(a))
+                for a in analyses]
+    for pair in (analyses, archives):
+        assert expression_similarity(*pair, True)["common_patterns"] == 14
+
+
+def test_an_analysis_holds_only_what_its_archives_hold(alpha, beta):
+    back = archive.read_archives(archive.write_pattern_file(alpha),
+                                 archive.write_param_file(alpha))
+    merged = archive.merge([alpha, beta], 0)
+    for a in (alpha, back, merged):
+        similarity_matrix([a, beta], "coverage", True)  # a comparison stores nothing on them
+        assert set(vars(a)) == {"arch_name", "store", "bindings", "expr_count", "iterators",
+                                "diagnostics"}
