@@ -26,8 +26,8 @@ import itertools
 import re
 
 from . import ATOM_CHAR, Error, escape_string
-from .pattern import (MdAnalysis, ParamBinding, PatternStore, RtlPattern, height,
-                      pattern_holes, substitute)
+from .pattern import (MdAnalysis, ParamBinding, PatternStore, RtlPattern, read_pattern_text,
+                      substitute)
 
 
 class ArchiveError(Error):
@@ -177,8 +177,8 @@ def read_pattern_file(text: str, filename: str | None = None) -> MdAnalysis:
                 raise BadHeader("unknown header line %r" % line, filename, lineno)
             continue
         m = _ENTRY_RE.fullmatch(line)
-        holes = m and pattern_holes(m[4])
-        p = holes is not None and RtlPattern(m[4], height(m[4]), holes)
+        read = m and read_pattern_text(m[4])
+        p = read and RtlPattern(m[4], read[1], read[0])
         if not p or _entry(_int(m[1]), p, _int(m[3])) != line:
             raise MalformedEntry(line, filename, lineno)
         rows.append((int(m[1]), lineno, line, p, int(m[3])))

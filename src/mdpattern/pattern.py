@@ -22,7 +22,7 @@ class RtlPattern:
     def __init__(self, canonical_text: str, height: int, holes: list | None = None):
         self.canonical_text = canonical_text
         self.height = height
-        self.holes = holes  # `pattern_holes` of the text if read from an archive
+        self.holes = holes  # `read_pattern_text`'s holes if read from an archive
 
 
 class ParamBinding:
@@ -114,56 +114,55 @@ class _Walk:
 #: one, as no code holds any of these characters.
 _HOLE_RE = re.compile(r"(?<![^ \[:])\$(?:arg|mode)\d+")
 
-#: A list or vector of `$arg` holes only, where an item stands: after the
-#: start, a space or '[' (looked back at from past the opener, so that `re`
-#: scans for openers only), and before the end, a space, ')' or ']'.
-_GROUP_RE = re.compile(
-    r"(?:\((?<![^ \[].)(?!-?\d+[ )]|/\*)%s+(?::\$mode\d+)?(?: \$arg\d+)*\)"
-    r"|\[(?<![^ \[].)(?:\$arg\d+(?: \$arg\d+)*)?\])(?![^ \])])"
-    % ATOM_CHAR.replace("^", "^:", 1))
+#: The tokens of a pattern text: '(' with its list head, an `$arg` hole, any
+#: other character ('[', ']', ')' and the space before an item among them),
+#: and last the end, an empty token.
+_TOKEN_RE = re.compile(r"\((?!-?\d+[ )]|/\*)%s+(?::\$mode\d+)?|\$arg\d+|.|\Z"
+                       % ATOM_CHAR.replace("^", "^:", 1), re.S)
 
 
-def pattern_holes(text: str) -> list | None:
-    """The hole names of `text`, `$mode` holes first and each kind in number
-    order, if it is a pattern text in exactly the form `_Walk` writes; None
-    if it is not.
-
-    Each pass collapses the innermost lists and vectors to a hole, so a text
-    of the grammar that nests at most MAX_DEPTH levels becomes one hole;
-    then each kind of hole must be numbered 0, 1, ... by first occurrence.
-    """
-    reduced = text
-    for _ in range(MAX_DEPTH):
-        reduced, n = _GROUP_RE.subn("$arg0", reduced)
-        if not n:
-            break
-    if reduced != "$arg0":
+def read_pattern_text(text: str) -> tuple[list, int] | None:
+    """(holes, height) of `text` if it is a pattern text in exactly the form
+    `_Walk` writes, else None: its hole names, `$mode` holes first and each
+    kind in number order, and the height `_Walk` gives it, at least 1."""
+    tokens = _TOKEN_RE.findall(text)
+    found = []
+    read = _read_item(tokens, 0, found, 1)
+    if read is None or tokens[read[0]]:  # no item, or more after it
         return None
     modes, args = [], []
-    for name in dict.fromkeys(_HOLE_RE.findall(text)):
+    for name in dict.fromkeys(found):
         holes, kind = (args, "$arg%d") if name[1] == "a" else (modes, "$mode%d")
         if name != kind % len(holes):
             return None
         holes.append(name)
-    return modes + args
+    return modes + args, max(1, read[1])
 
 
-#: The list brackets and `$arg` holes of a pattern text.
-_HEIGHT_RE = re.compile(r"[()]|(?<![^ \[])\$arg")
-
-
-def height(text: str) -> int:
-    """The height `_Walk` gives a pattern text: a hole is one node high, a
-    list one more than its highest item, a vector as high as its highest
-    item, and every text at least 1."""
-    h, depth = 1, 0
-    for token in _HEIGHT_RE.findall(text):
-        if token == ")":
-            depth -= 1
-        else:  # a list or a hole, inside `depth` lists
-            h = max(h, depth + 1)
-            depth += token == "("
-    return h
+def _read_item(tokens, i, holes, depth):
+    """(the index past it, its height) of the item at tokens[i], `depth`
+    lists and vectors deep, adding its hole names to `holes`; None if none
+    starts there or it nests past MAX_DEPTH.  A hole is 1 high, a list one
+    more than its highest item, a vector as high.  Not a closure: commands
+    pause the cyclic collector, and a recursive closure is a cycle."""
+    token = tokens[i]
+    if token.startswith("$arg"):
+        holes.append(token)
+        return i + 1, 1
+    lift = token != "["  # then '(' and a list head, or no item
+    if depth > MAX_DEPTH or lift and len(token) < 2:
+        return None
+    if lift and ":" in token:
+        holes.append(token[token.index(":") + 1:])
+    h, space = 0, lift  # each item follows a space, but a vector's first
+    i += 1
+    while tokens[i] != (")" if lift else "]"):
+        read = (tokens[i] == " " or not space) and _read_item(tokens, i + space, holes, depth + 1)
+        if not read:
+            return None
+        i, item_h = read
+        h, space = max(h, item_h), True
+    return i + 1, h + lift
 
 
 def substitute(text: str, mapping: dict) -> str:

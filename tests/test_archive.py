@@ -10,8 +10,8 @@ from mdpattern.archive import (ArchiveError, BadHeader, DanglingPatternId, Malfo
                                read_pattern_file, recombine, unescape_value,
                                verify_roundtrip, write_param_file,
                                write_pattern_file)
-from mdpattern.pattern import height
 from mdpattern.sexpr import MAX_DEPTH
+from test_pattern import regex_height
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +228,7 @@ def _analysis(records, arch="x", iterators=(), expr_count=0):
     for kind, name, modes, args in records:
         text = "[%s]" % " ".join(["(c:$mode%d)" % i for i in range(len(modes))]
                                  + ["$arg%d" % i for i in range(len(args))])
-        pid, _ = store.insert(pattern.RtlPattern(text, height(text)))
+        pid, _ = store.insert(pattern.RtlPattern(text, pattern.read_pattern_text(text)[1]))
         bindings.append(pattern.ParamBinding(
             pid, [("$mode%d" % i, v) for i, v in enumerate(modes)]
             + [("$arg%d" % i, v) for i, v in enumerate(args)], kind, name))
@@ -419,7 +419,8 @@ def test_read_duplicate_entry_reports_line(second):
 def test_read_rejects_malformed_pattern_text(text):
     # the height column agrees with the text, so only the text is at fault
     with pytest.raises(MalformedEntry) as ei:
-        read_pattern_file("# arch: x\n# total_templates: 1\n0 %d 1 %s\n" % (height(text), text))
+        read_pattern_file("# arch: x\n# total_templates: 1\n0 %d 1 %s\n"
+                          % (regex_height(text), text))
     assert ei.value.lineno == 3
 
 
@@ -447,6 +448,42 @@ def test_read_accepts_pattern_text_at_the_bound():
     text = "(set " * MAX_DEPTH + "$arg0" + ")" * MAX_DEPTH
     a = read_pattern_file("# arch: x\n# total_templates: 1\n0 %d 1 %s\n" % (MAX_DEPTH + 1, text))
     assert _rows(a) == [(0, MAX_DEPTH + 1, 1, text)]
+
+
+class _CountedCalls:
+    """A wrapper of `obj` that adds the name of each method called on it to
+    `calls`."""
+
+    def __init__(self, obj, calls):
+        self.obj, self.calls = obj, calls
+
+    def __getattr__(self, name):
+        method = getattr(self.obj, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+# the regex reader that `read_pattern_text` replaced ran one pass per level
+# on such a line, up to MAX_DEPTH passes
+@pytest.mark.parametrize("text,ok", [
+    ("(set " * MAX_DEPTH + "$arg0" + ")" * MAX_DEPTH, True),
+    ("[" * MAX_DEPTH + "]" * MAX_DEPTH, True),
+    ("(set " * (MAX_DEPTH + 1) + "$arg0" + ")" * (MAX_DEPTH + 1), False),
+], ids=["lists-at-the-bound", "vectors-at-the-bound", "past-the-bound"])
+def test_an_entry_line_is_read_with_one_token_scan(monkeypatch, text, ok):
+    calls = []
+    monkeypatch.setattr(pattern, "_TOKEN_RE", _CountedCalls(pattern._TOKEN_RE, calls))
+    ptext = "# arch: x\n# total_templates: 1\n0 %d 1 %s\n" % (regex_height(text), text)
+    if ok:
+        assert [t for *_, t in _rows(read_pattern_file(ptext))] == [text]
+    else:
+        with pytest.raises(MalformedEntry):
+            read_pattern_file(ptext)
+    assert calls == ["findall"]
 
 
 def test_read_dangling_pattern_id(alpha):

@@ -87,6 +87,82 @@ def test_each_python_file_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
+# -- regex syntax ----------------------------------------------------------------
+# Python 3.11 added atomic groups `(?>...)` and the possessive quantifiers `*+`,
+# `++`, `?+` and `{m,n}+` to `re`; 3.10, which pyproject.toml allows, rejects
+# them when a module compiles its regexes on import.
+
+try:
+    from re import _parser as sre_parse  # Python 3.11 and later
+except ImportError:  # Python 3.10
+    import sre_parse
+
+#: The parse-tree opcodes of what 3.11 added.
+LATER_REGEX_OPS = {"ATOMIC_GROUP", "POSSESSIVE_REPEAT"}
+RE_FUNCTIONS = {"compile", "search", "match", "fullmatch", "split", "findall", "finditer",
+                "sub", "subn"}
+
+
+def _opcode_names(node):
+    if isinstance(node, sre_parse.SubPattern):
+        node = node.data
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _opcode_names(item)
+    elif hasattr(node, "name"):
+        yield node.name
+
+
+def rejected_by_python_3_10(regex: str, flags=0) -> bool:
+    """Whether `regex` uses what 3.11 added, or does not parse at all, as
+    3.10's parser finds of what 3.11 added."""
+    try:
+        tree = sre_parse.parse(regex, flags)
+    except re.error:
+        return True
+    return not LATER_REGEX_OPS.isdisjoint(_opcode_names(tree))
+
+
+def test_regex_syntax_detector():
+    later = ["(?>a)b", "a*+", "a++", "[ab]?+", "a{1,2}+", "(?:(?>a)|b)*", "(x)(?(1)a++|b)"]
+    assert all(rejected_by_python_3_10(regex) for regex in later)
+    earlier = [r"\++", "[*+?}]+", "a+?", "(?:a)+", "a{2}", r"(?=(a))\1", r"\(?>"]
+    assert not any(rejected_by_python_3_10(regex) for regex in earlier)
+
+
+def compiled_regexes(path) -> list:
+    """(line, regex, flags) of each regex a module of the package hands to a
+    function of `re`, the arguments evaluated in the module's namespace."""
+    module = importlib.import_module(
+        "mdpattern" if path.stem == "__init__" else "mdpattern." + path.stem)
+
+    def value(node):
+        return eval(compile(ast.Expression(node), str(path), "eval"), vars(module))
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                and node.func.attr in RE_FUNCTIONS):
+            flags = [k.value for k in node.keywords if k.arg == "flags"]
+            flags += node.args[1:2] if node.func.attr == "compile" else []
+            found.append((node.lineno, value(node.args[0]), value(flags[0]) if flags else 0))
+    return found
+
+
+def test_compiled_regexes_holds_those_built_from_parts():
+    from mdpattern import pattern, sexpr
+
+    regexes = {regex for path in SRC.glob("*.py") for _, regex, _ in compiled_regexes(path)}
+    assert {pattern._TOKEN_RE.pattern, sexpr._TOKEN_RE.pattern, sexpr._RUN} <= regexes
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_regex_uses_syntax_python_3_10_rejects(path):
+    assert [line for line, *regex in compiled_regexes(path)
+            if rejected_by_python_3_10(*regex)] == []
+
+
 # -- the test run itself ---------------------------------------------------------
 # pyproject.toml turns every warning into an error; a failing property must
 # still be reported as one failure, not end the whole run

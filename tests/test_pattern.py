@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import analyze_file, random_corpus, DATA
 from test_rtl import height
-from mdpattern import md_reader, pattern, rtl, sexpr, similarity
-from mdpattern.pattern import (PatternStore, analyze, extract_pattern, pattern_holes,
+from mdpattern import ATOM_CHAR, MAX_DEPTH, md_reader, pattern, rtl, sexpr, similarity
+from mdpattern.pattern import (PatternStore, analyze, extract_pattern, read_pattern_text,
                                register_iterators, renumber_holes, subpatterns, substitute)
 from mdpattern.rtl import RtxCodeTable, build_rtl_tree, build_template_tree
 
@@ -223,7 +223,7 @@ def test_one_walk_matches_reference_extraction(seed, include_bin_arith, dropped,
         expected = _reference_extract(tree, table, iterators, include_bin_arith,
                                        expected_unknown)
         assert (p.canonical_text, p.height, assigns) == expected
-        assert pattern.height(p.canonical_text) == p.height
+        assert read_pattern_text(p.canonical_text) == ([n for n, _ in assigns], p.height)
         assert unknown == expected_unknown
         assert substitute(p.canonical_text, dict(assigns)) == sexpr.serialize(vec)
 
@@ -325,7 +325,98 @@ def _near_pattern_texts(draw):
 @example("[]")  # no hole at all
 @example("(set:$mode0 $arg0 (plus:$mode1 $arg1 $arg0) (neg:$mode0 $arg2))")  # kinds interleaved
 def test_is_pattern_text_matches_reference(text):
-    assert pattern_holes(text) == _reference_pattern_holes(text)
+    read = read_pattern_text(text)
+    assert (None if read is None else read[0]) == _reference_pattern_holes(text)
+
+
+# The regex reader that `read_pattern_text` replaced: each pass of
+# `_GROUP_RE` collapses the innermost lists and vectors to a hole, so a
+# grammar text nesting at most MAX_DEPTH levels becomes one hole; then
+# `_HEIGHT_RE` scans the text again for its height.
+
+#: A list or vector of `$arg` holes only, where an item stands: after the
+#: start, a space or '[' (looked back at from past the opener, so that `re`
+#: scans for openers only), and before the end, a space, ')' or ']'.
+_GROUP_RE = re.compile(
+    r"(?:\((?<![^ \[].)(?!-?\d+[ )]|/\*)%s+(?::\$mode\d+)?(?: \$arg\d+)*\)"
+    r"|\[(?<![^ \[].)(?:\$arg\d+(?: \$arg\d+)*)?\])(?![^ \])])"
+    % ATOM_CHAR.replace("^", "^:", 1))
+_HOLE_RE = re.compile(r"(?<![^ \[:])\$(?:arg|mode)\d+")
+#: The list brackets and `$arg` holes of a pattern text.
+_HEIGHT_RE = re.compile(r"[()]|(?<![^ \[])\$arg")
+
+
+def _regex_pattern_holes(text):
+    """The hole names of `text`, `$mode` holes first, if it is a pattern
+    text; None if it is not."""
+    reduced = text
+    for _ in range(MAX_DEPTH):
+        reduced, n = _GROUP_RE.subn("$arg0", reduced)
+        if not n:
+            break
+    if reduced != "$arg0":
+        return None
+    modes, args = [], []
+    for name in dict.fromkeys(_HOLE_RE.findall(text)):
+        holes, kind = (args, "$arg%d") if name[1] == "a" else (modes, "$mode%d")
+        if name != kind % len(holes):
+            return None
+        holes.append(name)
+    return modes + args
+
+
+def regex_height(text):
+    """The height `_HEIGHT_RE` finds: a list or hole inside `depth` lists
+    is `depth` + 1 high, and every text at least 1; of any text."""
+    h, depth = 1, 0
+    for token in _HEIGHT_RE.findall(text):
+        if token == ")":
+            depth -= 1
+        else:  # a list or a hole, inside `depth` lists
+            h = max(h, depth + 1)
+            depth += token == "("
+    return h
+
+
+def _regex_read(text):
+    holes = _regex_pattern_holes(text)
+    return None if holes is None else (holes, regex_height(text))
+
+
+#: What the edits below put in or write over: the characters of the grammar,
+#: of the texts near it, and a digit `\d` takes that '%d' does not write.
+_EDIT_CHARS = "()[] :$argmode01-/*\"{};x\t\n\u0663"
+
+
+@st.composite
+def _edited_pattern_texts(draw):
+    """A grammar text, with one character put in, deleted or written over,
+    or as it is."""
+    text = draw(_ITEMS | _ITEMS.map(renumber_holes))
+    i = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(_EDIT_CHARS))
+    return draw(st.sampled_from([text, text[:i] + char + text[i:], text[:i] + text[i + 1:],
+                                 text[:i] + char + text[i + 1:]]))
+
+
+@settings(max_examples=500)
+@given(_edited_pattern_texts())
+@example("(set:$mode0 $arg0 (plus:$mode1 $arg1 $arg0) (neg:$mode0 $arg2))")
+@example("(set $arg\u0663)")  # a digit that '%d' does not write
+@example("(x$arg0 $arg0)")  # a code that holds a hole's name
+def test_one_pass_reader_matches_the_regex_reader(text):
+    assert read_pattern_text(text) == _regex_read(text)
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 5000])
+@pytest.mark.parametrize("opener,closer", [("(set ", ")"), ("[", "]"),
+                                           ("(a:$mode0 [$arg0 ", "])")])
+def test_one_pass_reader_matches_the_regex_reader_at_depth(depth, opener, closer):
+    text = opener * depth + "$arg0" + closer * depth
+    read = read_pattern_text(text)
+    assert read == _regex_read(text)
+    nests = depth * (opener.count("(") + opener.count("["))  # lists and vectors
+    assert (read is not None) == (nests <= MAX_DEPTH)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +438,7 @@ def test_pattern_height(table):
     ("(parallel [(set $arg0 (neg:$mode0 $arg1)) (clobber $arg2)])", 4),
 ])
 def test_height_of_a_pattern_text(text, expected):
-    assert pattern.pattern_holes(text) is not None
-    assert pattern.height(text) == expected
+    assert read_pattern_text(text)[1] == expected
 
 
 def test_store_dedup(table):
@@ -393,7 +483,7 @@ def test_substitution_fills_whole_holes_only():
     text = "(set:$mode0 [$arg0 ($arg1:$mode1 $arg1)] (x$arg0 %s))" % tail
     mapping = {"$mode0": "SI", "$mode1": "DI", "$arg0": "(reg 0)", "$arg1": "1"}
     mapping.update(("$arg%d" % i, "r%d" % i) for i in range(2, 11))
-    assert pattern_holes(text) == ["$mode0", "$mode1"] + ["$arg%d" % i for i in range(11)]
+    assert read_pattern_text(text) == (["$mode0", "$mode1"] + ["$arg%d" % i for i in range(11)], 3)
     assert (substitute(text, mapping)
             == "(set:SI [(reg 0) ($arg1:DI 1)] (x$arg0 %s))" % tail.replace("$arg", "r"))
 
