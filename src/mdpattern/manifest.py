@@ -33,7 +33,7 @@ def parse_manifest(text: str, path: str) -> list[ManifestEntry]:
     entries = []
     names = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = re.split(r"(?<!\S)#", raw, 1)[0].strip()
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         name, _, rest = line.partition("=")

@@ -1,4 +1,4 @@
-"""Abstract RTL trees into patterns with named parameter holes.
+"""Abstract parsed RTL templates into patterns with named parameter holes.
 
 A pattern keeps the operators that mean the same thing on every machine
 and replaces everything machine-chosen (operands, constants, modes,
@@ -37,20 +37,21 @@ class ParamBinding:
         self.origin = origin  # the form's Loc; None when read from an archive
 
 
-def extract_pattern(tree: "rtl.RtlExpr", table: "rtl.RtxCodeTable", retained: frozenset,
+def extract_pattern(tree: "sexpr.SExpr", table: "rtl.RtxCodeTable", retained: frozenset,
                     unknown_codes: Counter | None = None):
-    """Abstract one expression tree in a single walk.
+    """Abstract one parsed template, which `rtl.build_template_tree` has
+    checked, in a single walk.
 
     `retained` holds the operator codes that stay in the pattern; every
-    other subtree becomes a hole.  Returns (RtlPattern, assignments).  Holes
-    are numbered per kind by first pre-order (= textual) occurrence, so the
-    text is canonical; assignments list the hole values in mode-then-arg
-    order, and substituting them back gives the tree's single-space
-    rendering.
+    other list and every atom becomes a hole.  Returns (RtlPattern,
+    assignments).  Holes are numbered per kind by first pre-order (=
+    textual) occurrence, so the text is canonical; assignments list the
+    hole values in mode-then-arg order, and substituting them back gives
+    the tree's single-space rendering.
     """
     from . import sexpr
 
-    walk = _Walk(table, retained, unknown_codes, sexpr.serialize)
+    walk = _Walk(table, retained, unknown_codes, sexpr)
     text, h = walk.node(tree)
     assignments = [(name, value) for holes in (walk.mode_map, walk.arg_map)
                    for value, name in holes.items()]
@@ -63,39 +64,45 @@ def _hole(names, kind, text):
 
 class _Walk:
     """The state of one `extract_pattern` walk: what stays, and the holes
-    named so far; `serialize` writes a hole's parsed node.  Its methods
+    named so far; a list head splits at its first ':' into code and mode,
+    and a hole's text is `sexpr.serialize` of its node.  Its methods
     recurse through `self`, so a walk leaves no reference cycle for the
     cyclic collector to find."""
 
-    __slots__ = ("table", "retained", "unknown_codes", "serialize", "arg_map", "mode_map")
+    __slots__ = ("table", "retained", "unknown_codes", "serialize", "slist", "svector",
+                 "arg_map", "mode_map")
 
-    def __init__(self, table, retained, unknown_codes, serialize):
+    def __init__(self, table, retained, unknown_codes, sexpr):
         self.table = table
         self.retained = retained
         self.unknown_codes = unknown_codes
-        self.serialize = serialize
+        self.serialize = sexpr.serialize
+        self.slist = sexpr.SList
+        self.svector = sexpr.SVector
         self.arg_map: dict[str, str] = {}
         self.mode_map: dict[str, str] = {}
 
     def node(self, node):
         # (pattern text, height) of one node; a hole has height 1
-        code = node.code
-        if node.is_vector:
+        kind = type(node)
+        code = None
+        if kind is self.slist:
+            code, colon, mode = node.items[0].text.partition(":")
+        if kind is self.svector:
             texts = []
         elif code in self.retained:
-            texts = [code if node.mode is None
-                     else code + ":" + _hole(self.mode_map, "mode", node.mode)]
+            texts = [code + ":" + _hole(self.mode_map, "mode", mode) if colon else code]
         else:
             unknown_codes = self.unknown_codes
             if code is not None and unknown_codes is not None and self.table.rtx_class(code) is None:
                 unknown_codes[code] += 1
-            return _hole(self.arg_map, "arg", self.serialize(node.source)), 1
+            return _hole(self.arg_map, "arg", self.serialize(node)), 1
         h = 0
         for child in node.children:
             text, child_h = self.node(child)
             texts.append(text)
             h = max(h, child_h)
-        if node.is_vector:
+        if kind is self.svector:
             return "[%s]" % " ".join(texts), h
         return "(%s)" % " ".join(texts), 1 + h
 

@@ -1,16 +1,16 @@
-"""The RTX code table and the RTL trees that patterns are extracted from.
+"""The RTX code table, and the check of a template's RTL tree.
 
 The code table maps each known RTX code to its class name (one of
 `CLASSES`) and a side-effect flag; the codes of `PATTERN_CLASSES` and the
-side-effect codes stay in patterns.  A tree splits each list head into code
-and mode, and each node keeps the parsed s-expression node it was built
-from, so a hole's text is `sexpr.serialize` of that node.
+side-effect codes stay in patterns.  A template's tree is its parsed
+s-expression vector: `build_template_tree` checks that each list of it is
+an operator, a symbol head with its operands, and returns it.
 """
 
 import os
 
 from . import Error, read_text, sexpr
-from .sexpr import SExpr, SList, SVector, Symbol
+from .sexpr import SList, SVector, Symbol
 
 
 class RtlError(Error):
@@ -151,50 +151,20 @@ class RtxCodeTable:
                          if side_effect or cls in classes)
 
 
-class RtlExpr:
-    """One node of an RTL tree, with the parsed node it was built from.
-
-    Exactly one shape holds per node: an operator (code set, children and
-    scalar arguments in order), a vector group (is_vector), or a scalar
-    leaf (neither).
-    """
-
-    __slots__ = ("source", "code", "mode", "children", "is_vector")
-
-    def __init__(self, source: SExpr, code: str | None = None, mode: str | None = None,
-                 children: list | tuple = (), is_vector: bool = False):
-        self.source = source
-        self.code = code
-        self.mode = mode  # text after ':', kept verbatim
-        self.children = children
-        self.is_vector = is_vector
+def build_template_tree(vec: SVector) -> SVector:
+    """Check each list of a template, in pre-order, and return the template:
+    the parsed vector is the tree that `pattern.extract_pattern` walks."""
+    _check((vec,))
+    return vec
 
 
-def _build_arg(arg):
-    if isinstance(arg, SList):
-        return build_rtl_tree(arg)
-    if isinstance(arg, SVector):
-        return RtlExpr(arg, children=[_build_arg(x) for x in arg.items], is_vector=True)
-    return RtlExpr(arg)
-
-
-def build_rtl_tree(s: SExpr) -> RtlExpr:
-    """Convert a template s-expression into an RtlExpr tree.
-
-    The head symbol is split at its first ':' into code and mode; the mode
-    text (SI, GPR, '<mode>', ...) is kept verbatim, and is '' after a bare ':'.
-    """
-    if not isinstance(s, SList):
-        raise NotAList("RTL expression must be a list: %s" % sexpr.serialize(s))
-    if not s.items:
-        raise EmptyList("empty RTL expression")
-    head = s.items[0]
-    if not isinstance(head, Symbol):
-        raise NotAList("RTL head is not a symbol: %s" % sexpr.serialize(s))
-    code, sep, mode = head.text.partition(":")
-    return RtlExpr(s, code, mode if sep else None, [_build_arg(a) for a in s.items[1:]])
-
-
-def build_template_tree(vec: SVector) -> RtlExpr:
-    """Wrap a whole template vector so multi-element templates are one tree."""
-    return _build_arg(vec)
+def _check(items):
+    for item in items:
+        if isinstance(item, SList):
+            if not item.items:
+                raise EmptyList("empty RTL expression")
+            if not isinstance(item.items[0], Symbol):
+                raise NotAList("RTL head is not a symbol: %s" % sexpr.serialize(item))
+            _check(item.children)
+        elif isinstance(item, SVector):
+            _check(item.items)

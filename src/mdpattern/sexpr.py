@@ -279,10 +279,14 @@ class SExpr:
     are equal.  A node keeps no location: `parse_text` pairs each top-level
     expression with its `Loc`.  `parse_text` makes one node for the equal
     atoms of one source, so no code may change an atom's content.
+
+    `children` are a node's RTL operands: a list's items after its head, a
+    vector's items, and none for an atom.
     """
 
     __slots__ = ()
     _field = ""  # name of the content field
+    children = ()
 
     def __eq__(self, other):
         f = self._field
@@ -331,6 +335,10 @@ class SList(SExpr):
     def __init__(self, items: list):
         self.items = items
 
+    @property
+    def children(self):
+        return self.items[1:]
+
 
 class SVector(SExpr):
     __slots__ = ("items",)
@@ -338,6 +346,10 @@ class SVector(SExpr):
 
     def __init__(self, items: list):
         self.items = items
+
+    @property
+    def children(self):
+        return self.items
 
 
 def _atom(text: str) -> SExpr:

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -54,10 +56,10 @@ def private_module_reads(source: str) -> list:
 
 def test_private_module_read_detector():
     source = ("from . import rtl, sexpr as s\nfrom mdpattern.pattern import _walk, analyze\n"
-              "from mdpattern import cli\nrtl._build_arg(s.parse)\n"
+              "from mdpattern import cli\nrtl._check(s.parse)\n"
               "s._CLOSER\ncli._Parser\nanalyze._x\nself._y\n")
     assert private_module_reads(source) == [
-        (2, "_walk"), (4, "rtl._build_arg"), (5, "s._CLOSER"), (6, "cli._Parser")]
+        (2, "_walk"), (4, "rtl._check"), (5, "s._CLOSER"), (6, "cli._Parser")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -161,6 +163,37 @@ def test_compiled_regexes_holds_those_built_from_parts():
 def test_no_regex_uses_syntax_python_3_10_rejects(path):
     assert [line for line, *regex in compiled_regexes(path)
             if rejected_by_python_3_10(*regex)] == []
+
+
+# -- regex options by keyword ------------------------------------------------------
+# Python 3.13 deprecates passing `maxsplit`, `count` or `flags` to `re.split`,
+# `re.sub` and `re.subn` positionally, and pytest turns the warning into an error.
+
+#: How many arguments each of these functions takes before those options.
+RE_POSITIONAL = {"split": 2, "sub": 3, "subn": 3}
+
+
+def positional_re_options(source: str) -> list:
+    """(line, function) of each call of `re.split`, `re.sub` or `re.subn`
+    that passes `maxsplit`, `count` or `flags` positionally."""
+    return [(n.lineno, n.func.attr) for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and isinstance(n.func.value, ast.Name) and n.func.value.id == "re"
+            and len(n.args) > RE_POSITIONAL.get(n.func.attr, len(n.args))]
+
+
+def test_positional_re_option_detector():
+    source = ("re.split(r, s, 1)\nre.split(r, s, maxsplit=1)\nre.sub(r, f, s, 2)\n"
+              "re.sub(r, f, s, count=2)\nre.subn(r, f, s, 0, re.S)\nre.subn(r, f, s)\n"
+              "x.split(s, 1)\nre.findall(r, s, re.S)\n")
+    assert positional_re_options(source) == [(1, "split"), (3, "sub"), (5, "subn")]
+
+
+@pytest.mark.parametrize("path", sorted(p for d in ("src", "tests", "mdbench")
+                                        for p in (ROOT / d).rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_re_option_is_passed_positionally(path):
+    assert positional_re_options(path.read_text(encoding="utf-8")) == []
 
 
 # -- the test run itself ---------------------------------------------------------
@@ -353,7 +386,7 @@ def test_each_command_loads_only_its_layers(archives, argv, not_loaded):
 
 # -- the seams the traced bench wraps ------------------------------------------
 # mdbench/trace_shim.py times layers by patching `rtl.build_template_tree` and
-# `pattern.extract_pattern` and counts the nodes of each built tree, so
+# `pattern.extract_pattern` and counts the nodes of each tree it returns, so
 # `analyze` must call both through their modules, once per template.
 
 
@@ -382,6 +415,64 @@ def test_analyze_builds_and_extracts_each_template_once(monkeypatch):
     assert calls == {"build_template_tree": considered, "extract_pattern": considered}
 
 
+# The shim reads `.children` of what `rtl.build_template_tree` returns, so
+# its `rtl.nodes` count holds only while that is the template's RTL tree.
+
+SHIM = ROOT / "mdbench" / "trace_shim.py"
+
+
+def shim_wrapped() -> list:
+    """(module, function name) of each `self.wrap(module, "name", ...)` call
+    of the shim."""
+    return [(n.args[0].id, n.args[1].value)
+            for n in ast.walk(ast.parse(SHIM.read_text(encoding="utf-8")))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "wrap" and isinstance(n.func.value, ast.Name)
+            and n.func.value.id == "self"]
+
+
+def test_each_name_the_shim_wraps_is_a_function_of_its_module():
+    wrapped = shim_wrapped()
+    assert ("rtl", "build_template_tree") in wrapped and len(wrapped) > 10
+    for module, name in wrapped:
+        fn = getattr(importlib.import_module("mdpattern." + module), name, None)
+        assert inspect.isfunction(fn), (module, name)
+
+
+def rtl_node_count(vec) -> int:
+    """The RTL nodes of a template, counted from its text: the vector, each
+    list and vector in it, and each atom that is not a list head."""
+    from mdpattern import sexpr
+
+    n, prev = 0, None
+    for text in sexpr.tokenize(sexpr.serialize(vec)).texts:
+        if text in ("(", "["):
+            n += 1
+        elif text not in (")", "]") and prev != "(":
+            n += 1
+        prev = text
+    return n
+
+
+def test_the_shim_counts_the_rtl_nodes_of_each_template():
+    from mdpattern import manifest, md_reader, rtl
+
+    spec = importlib.util.spec_from_file_location("trace_shim", SHIM)
+    shim = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(shim)
+    templates = 0
+    for path in sorted((ROOT / "tests" / "data").glob("*/manifest.txt")):
+        for entry in manifest.load_manifest(str(path)):
+            for form in md_reader.load_md_file(entry.path, entry.resolve_includes,
+                                               entry.considered_heads):
+                if form.kind is not md_reader.FormKind.CONSIDERED:
+                    continue
+                vec = md_reader.extract_template_vector(form)
+                assert shim._count_nodes(rtl.build_template_tree(vec)) == rtl_node_count(vec)
+                templates += 1
+    assert templates > 100
+
+
 # -- memory ---------------------------------------------------------------------
 # A command builds one of these per token, node, form or template, so each
 # keeps its fields in slots, not in a per-instance dict.
@@ -394,12 +485,14 @@ def test_bulk_instances_have_no_dict():
     forms = md_reader.load_md_file(str(Path(SYNTH).parent / "alpha.md"))
     form = next(f for f in forms if f.kind is md_reader.FormKind.CONSIDERED)
     tree = rtl.build_template_tree(md_reader.extract_template_vector(form))
-    a = pattern.analyze(forms, rtl.RtxCodeTable.default(), "alpha")
+    table = rtl.RtxCodeTable.default()
+    walk = pattern._Walk(table, table.retained(True), None, sexpr)
+    a = pattern.analyze(forms, table, "alpha")
     entry = next(a.store.entries())
-    instances = [expr, *expr.items, loc, tree, tree.children[0], form,
+    instances = [expr, *expr.items, loc, tree, tree.children[0], walk, form,
                  entry, entry.pattern, a.bindings[0]]
     names = {type(obj).__name__ for obj in instances}
     assert names == {"SList", "Symbol", "Integer", "StringLit", "BraceBlock", "SVector",
-                     "Loc", "RtlExpr", "TopLevelForm", "StoreEntry", "RtlPattern",
+                     "Loc", "_Walk", "TopLevelForm", "StoreEntry", "RtlPattern",
                      "ParamBinding"}
     assert [type(obj).__name__ for obj in instances if hasattr(obj, "__dict__")] == []

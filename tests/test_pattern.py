@@ -10,7 +10,8 @@ from test_rtl import height
 from mdpattern import ATOM_CHAR, MAX_DEPTH, md_reader, pattern, rtl, sexpr, similarity
 from mdpattern.pattern import (PatternStore, analyze, extract_pattern, read_pattern_text,
                                register_iterators, renumber_holes, subpatterns, substitute)
-from mdpattern.rtl import RtxCodeTable, build_rtl_tree, build_template_tree
+from mdpattern.rtl import RtxCodeTable, build_template_tree
+from mdpattern.sexpr import SList, SVector
 
 MIPS_ADD = (
     '(set (match_operand:GPR 0 "register_operand")'
@@ -25,7 +26,8 @@ ARM_ADD = (
 
 
 def _extract(src, table, iterators=frozenset(), include_bin_arith=True, unknown_codes=None):
-    tree = build_rtl_tree(sexpr.parse_one(src))
+    tree = sexpr.parse_one(src)
+    build_template_tree(SVector([tree]))
     retained = table.retained(include_bin_arith) | iterators
     return extract_pattern(tree, table, retained, unknown_codes)
 
@@ -154,14 +156,13 @@ def _is_pattern_operator(code, table, iterators, include_bin_arith):
 
 
 def rtl_text(e):
-    """Render an RtlExpr tree back to MD syntax (single spaces) from its
-    codes, modes and leaves."""
-    if e.is_vector:
-        return "[%s]" % " ".join(rtl_text(c) for c in e.children)
-    if e.code is None:
-        return sexpr.serialize(e.source)
-    head = e.code if e.mode is None else "%s:%s" % (e.code, e.mode)
-    return "(%s)" % " ".join([head, *(rtl_text(c) for c in e.children)])
+    """Render a parsed template back to MD syntax (single spaces) from its
+    list heads and atoms."""
+    if isinstance(e, SVector):
+        return "[%s]" % " ".join(rtl_text(c) for c in e.items)
+    if isinstance(e, SList):
+        return "(%s)" % " ".join([e.items[0].text, *(rtl_text(c) for c in e.items[1:])])
+    return sexpr.serialize(e)
 
 
 def _reference_extract(tree, table, iterators, include_bin_arith, unknown_codes):
@@ -177,17 +178,18 @@ def _reference_extract(tree, table, iterators, include_bin_arith, unknown_codes)
         return [t for t, _ in parts], max((h for _, h in parts), default=0)
 
     def walk(node):
-        if node.is_vector:
-            texts, h = walk_all(node.children)
+        if isinstance(node, SVector):
+            texts, h = walk_all(node.items)
             return "[%s]" % " ".join(texts), h
-        if node.code is not None:
-            if node.code not in iterators and table.rtx_class(node.code) is None:
-                unknown_codes[node.code] += 1
-            if _is_pattern_operator(node.code, table, iterators, include_bin_arith):
-                head = node.code
-                if node.mode is not None:
-                    head += ":" + hole(mode_map, "mode", node.mode)
-                texts, h = walk_all(node.children)
+        if isinstance(node, SList):
+            code, *mode = node.items[0].text.split(":", 1)
+            if code not in iterators and table.rtx_class(code) is None:
+                unknown_codes[code] += 1
+            if _is_pattern_operator(code, table, iterators, include_bin_arith):
+                head = code
+                if mode:
+                    head += ":" + hole(mode_map, "mode", mode[0])
+                texts, h = walk_all(node.items[1:])
                 return "(%s)" % " ".join([head, *texts]), 1 + h
         return hole(arg_map, "arg", rtl_text(node)), 1
 

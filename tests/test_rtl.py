@@ -2,25 +2,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdpattern import md_reader, rtl, sexpr
-from mdpattern.rtl import (CLASSES, SIDE_EFFECT_CODES, RtxCodeTable, build_rtl_tree,
-                           build_template_tree)
+from mdpattern.pattern import extract_pattern
+from mdpattern.rtl import CLASSES, SIDE_EFFECT_CODES, RtxCodeTable, build_template_tree
+from mdpattern.sexpr import SList, SVector
 
 
 def height(e):
-    """Longest root-to-leaf node count of an RtlExpr tree: the reference
+    """Longest root-to-leaf list count of a parsed template: the reference
     for the height that extraction computes in its walk.
 
-    Vector groups are transparent (members count as direct children) and
-    scalar arguments, the nodes with no code that are not vectors, are part
-    of their owning node, not below it.
+    Vectors are transparent (their items count as direct children) and
+    atoms are part of their owning list, not below it.
     """
-    if e.code is None and not e.is_vector:
+    if isinstance(e, SVector):
+        return max((height(c) for c in e.items), default=0)
+    if not isinstance(e, SList):
         return 0
-    if e.is_vector:
-        return max((height(c) for c in e.children), default=0)
-    if not e.children:
-        return 1
-    return 1 + max((height(c) for c in e.children), default=0)
+    return 1 + max((height(c) for c in e.items[1:]), default=0)
 
 
 @pytest.fixture(scope="module")
@@ -146,35 +144,59 @@ def test_table_override_rejects_garbage(tmp_path):
 
 
 def _tree(src):
-    return build_rtl_tree(sexpr.parse_one(src))
+    """The one operator of the template `[src]`, which the check passes."""
+    vec = sexpr.parse_one("[%s]" % src)
+    assert build_template_tree(vec) is vec
+    return vec.items[0]
+
+
+def _head(e):
+    return e.items[0].text
 
 
 def test_build_simple_tree():
     t = _tree("(plus:SI (reg 1) (reg 2))")
-    assert t.code == "plus" and t.mode == "SI"
-    assert [c.code for c in t.children] == ["reg", "reg"]
+    assert _head(t) == "plus:SI"
+    assert [_head(c) for c in t.children] == ["reg", "reg"]
 
 
 def test_build_leaf_payloads():
     t = _tree('(match_operand:SI 0 "s_register_operand" "")')
-    assert t.code == "match_operand" and t.mode == "SI"
-    assert all(c.code is None and not c.is_vector for c in t.children)
-    payloads = [sexpr.serialize(c.source) for c in t.children]
+    assert _head(t) == "match_operand:SI"
+    assert all(not isinstance(c, (SList, SVector)) and c.children == () for c in t.children)
+    payloads = [sexpr.serialize(c) for c in t.children]
     assert payloads == ["0", '"s_register_operand"', '""']
 
 
-def test_build_keeps_iterator_modes_verbatim():
-    t = _tree("(plus:GPR a b)")
-    assert t.mode == "GPR"
-    t = _tree("(plus:<mode> a b)")
-    assert t.mode == "<mode>"
+def test_build_keeps_iterator_modes_verbatim(table):
+    # the walk splits a head at its first ':' and keeps the mode as it stands
+    for src, mode in [("(plus:GPR a b)", "GPR"), ("(plus:<mode> a b)", "<mode>"),
+                      ("(plus: a b)", ""), ("(plus:SI:x a b)", "SI:x")]:
+        p, assigns = extract_pattern(_tree(src), table, table.retained(True))
+        assert p.canonical_text == "(plus:$mode0 $arg0 $arg1)"
+        assert assigns[0] == ("$mode0", mode)
+    p, assigns = extract_pattern(_tree("(plus a b)"), table, table.retained(True))
+    assert (p.canonical_text, assigns) == ("(plus $arg0 $arg1)", [("$arg0", "a"), ("$arg1", "b")])
 
 
 def test_build_rejects_non_lists():
-    with pytest.raises(rtl.NotAList):
-        build_rtl_tree(sexpr.parse_one("symbol"))
-    with pytest.raises(rtl.EmptyList):
-        build_rtl_tree(sexpr.parse_one("()"))
+    # each list of a template, at any depth, is checked in pre-order
+    cases = [
+        ("[(1 a)]", rtl.NotAList, "RTL head is not a symbol: (1 a)"),
+        ("[()]", rtl.EmptyList, "empty RTL expression"),
+        ('[(set (reg 0) [("x" a)])]', rtl.NotAList, 'RTL head is not a symbol: ("x" a)'),
+        ("[(set (reg 0) (plus ()))]", rtl.EmptyList, "empty RTL expression"),
+        ("[(1 ())]", rtl.NotAList, "RTL head is not a symbol: (1 ())"),
+        ("[(set () (1))]", rtl.EmptyList, "empty RTL expression"),
+        ("[(set (1) ())]", rtl.NotAList, "RTL head is not a symbol: (1)"),
+    ]
+    for src, cls, msg in cases:
+        with pytest.raises(cls) as info:
+            build_template_tree(sexpr.parse_one(src))
+        assert str(info.value) == msg
+    # a vector and an atom are operands, not operators
+    vec = sexpr.parse_one("[a 1 [b] {c}]")
+    assert build_template_tree(vec) is vec
 
 
 def test_build_fig2_shape():
@@ -183,9 +205,9 @@ def test_build_fig2_shape():
         ' (plus:SI (match_operand:SI 1 "s_register_operand" "")'
         ' (match_operand:SI 2 "reg_or_int_operand" "")))'
     )
-    assert t.code == "set"
-    assert [c.code for c in t.children] == ["match_operand", "plus"]
-    assert [c.code for c in t.children[1].children] == ["match_operand", "match_operand"]
+    assert _head(t) == "set"
+    assert [_head(c) for c in t.children] == ["match_operand:SI", "plus:SI"]
+    assert [_head(c) for c in t.children[1].children] == ["match_operand:SI", "match_operand:SI"]
 
 
 # ---------------------------------------------------------------------------
@@ -214,25 +236,20 @@ def test_height_dominates_children():
 
 
 # ---------------------------------------------------------------------------
-# Each node's source over the bundled corpus
+# Each node's operands over the bundled corpus
 
 
-def _check_sources(e, s):
-    """`e` was built from the parsed node `s`, and so was each node below it."""
-    assert e.source is s
-    if e.is_vector:
-        assert isinstance(s, sexpr.SVector)
-        items = s.items
-    elif e.code is not None:
-        assert isinstance(s, sexpr.SList)
-        assert s.items[0].text == (e.code if e.mode is None else "%s:%s" % (e.code, e.mode))
-        items = s.items[1:]
+def _check_children(e):
+    """The operands of `e` and of each node below it are its items after the
+    head for a list, its items for a vector, and none for an atom."""
+    if isinstance(e, SList):
+        assert e.children == e.items[1:]
+    elif isinstance(e, SVector):
+        assert e.children == e.items
     else:
-        assert not isinstance(s, (sexpr.SList, sexpr.SVector))
-        items = []
-    assert len(e.children) == len(items)
-    for child, item in zip(e.children, items):
-        _check_sources(child, item)
+        assert e.children == ()
+    for child in e.children:
+        _check_children(child)
 
 
 def test_each_node_keeps_its_parsed_node_over_corpus():
@@ -245,6 +262,7 @@ def test_each_node_keeps_its_parsed_node_over_corpus():
         if f.kind is not md_reader.FormKind.CONSIDERED:
             continue
         vec = md_reader.extract_template_vector(f)
-        _check_sources(build_template_tree(vec), vec)
+        assert build_template_tree(vec) is vec
+        _check_children(vec)
         n += 1
     assert n == 50
